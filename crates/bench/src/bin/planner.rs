@@ -1,7 +1,7 @@
 //! Planner scoring harness: cost-based planner vs. best-of-matrix oracle.
 //! Writes `BENCH_planner.json`.
 //!
-//! Two sections:
+//! Three sections:
 //!
 //! 1. **Table-3 matrix** — every dataset × query cell is timed under each
 //!    explicit strategy that evaluates it correctly (the *oracle* keeps
@@ -10,13 +10,18 @@
 //!    with the cost-based planner. The report carries the per-cell ratio
 //!    planner/oracle and an aggregate; the target is staying within 10%
 //!    of oracle-best overall.
-//! 2. **Adversarial skewed documents** — hand-shaped documents where the
-//!    static shape rules pick badly: a rare-anchor document (static
-//!    pipelining scans a huge posting list the cost planner knows to
-//!    probe instead) and an estimator-hostile document whose decoy tags
-//!    evict the anchor from the frequent-pair statistics, forcing a
-//!    mid-query budget trip and re-plan. Each is timed cost-based vs.
-//!    static (`cost_based_planner: false`) in interleaved rounds.
+//! 2. **Adversarial skewed document** — one rare anchor next to a sea
+//!    of common descendants (`//x//c`, one answer). The flat pipeline
+//!    chooses each semi-join's kernel from the lengths of its two lists,
+//!    so `Auto` gallops into the long list; it is timed in interleaved
+//!    rounds against the forced merge (`Strategy::Pipelined`), which
+//!    sweeps the whole list, and the forced probe.
+//!
+//! 3. **A cut edge outside the flat pipeline** — `//a/following::b`, the
+//!    one path shape `Auto` does not run on the flat operators: the
+//!    navigational walk it resolves to is raced against both NestedList
+//!    nested loops (what the forced flat strategies are rewritten to, and
+//!    the naive reference).
 //!
 //! Every timed comparison is verified first: all strategies and both
 //! planner modes must return byte-identical results.
@@ -32,7 +37,6 @@ use blossom_core::{Engine, EngineOptions, Strategy};
 use blossom_xml::Document;
 use blossom_xmlgen::{generate_scaled, Dataset};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// The explicit strategies the oracle races (NaiveNestedLoop is excluded:
 /// it is dominated by BNLJ by construction and can be quadratic).
@@ -44,6 +48,71 @@ const CANDIDATES: [(&str, Strategy); 5] = [
     ("bnlj", Strategy::BoundedNestedLoop),
 ];
 
+/// The non-flat candidates for a cut edge the flat pipeline has no
+/// semi-join for (forced `pipelined` is rewritten to `bnlj` there).
+const NON_FLAT: [(&str, Strategy); 3] = [
+    ("nav", Strategy::Navigational),
+    ("bnlj", Strategy::BoundedNestedLoop),
+    ("nlj", Strategy::NaiveNestedLoop),
+];
+
+/// `n` sections of `<s><a><x/></a><b/><c><b/></c></s>`: every `a` has
+/// `b`s following it at two depths, in its own and every later section.
+fn following_doc(n: usize) -> String {
+    format!("<r>{}</r>", "<s><a><x/></a><b/><c><b/></c></s>".repeat(n))
+}
+
+/// Race `candidates` on `query` — every one that reproduces the
+/// navigational result — and return the timed cells with the fastest
+/// candidate's label and time (the *oracle*).
+fn race(
+    engine: &Engine,
+    name: &str,
+    query: &str,
+    candidates: &[(&str, Strategy)],
+    rounds: u32,
+) -> (Vec<Json>, String, f64) {
+    let want = engine.eval_path_str(query, Strategy::Navigational).expect("navigational reference");
+    let mut cells = Vec::new();
+    let (mut oracle_strategy, mut oracle_s) = ("nav".to_string(), f64::INFINITY);
+    for &(label, strategy) in candidates {
+        match engine.eval_path_str(query, strategy) {
+            Ok(got) if got == want => {}
+            _ => continue, // not applicable to this query
+        }
+        let s = timing::time(&format!("{name}-{label}"), 1, rounds, || {
+            engine.eval_path_str(query, strategy).unwrap().len()
+        });
+        let min_s = s.min.as_secs_f64();
+        if min_s < oracle_s {
+            oracle_s = min_s;
+            oracle_strategy = label.to_string();
+        }
+        cells.push(Json::obj([("strategy", Json::str(label)), ("min_s", Json::Num(min_s))]));
+    }
+    (cells, oracle_strategy, oracle_s)
+}
+
+/// `Auto` on `query`, checked against the navigational result and timed:
+/// seconds, the strategy it executed (from the traced twin engine) and
+/// the result size.
+fn time_auto(
+    engine: &Engine,
+    traced: &Engine,
+    name: &str,
+    query: &str,
+    rounds: u32,
+) -> (f64, String, usize) {
+    let want = engine.eval_path_str(query, Strategy::Navigational).expect("navigational reference");
+    let got = engine.eval_path_str(query, Strategy::Auto).expect("auto");
+    assert_eq!(got, want, "{name}: auto disagrees with reference");
+    let s = timing::time(&format!("{name}-planner"), 1, rounds, || {
+        engine.eval_path_str(query, Strategy::Auto).unwrap().len()
+    });
+    let (_, trace) = traced.eval_path_traced(query, Strategy::Auto).unwrap();
+    (s.min.as_secs_f64(), trace.executed.to_string(), want.len())
+}
+
 /// Geometric mean of the ratios.
 fn geomean(ratios: &[f64]) -> f64 {
     if ratios.is_empty() {
@@ -53,114 +122,62 @@ fn geomean(ratios: &[f64]) -> f64 {
     (log_sum / ratios.len() as f64).exp()
 }
 
-/// The rare-anchor document: one `x` subtree next to `n` identical `q`
-/// subtrees. `//x//c` has one answer; static planning pipelines over the
-/// full `c` posting list while the tracked (x, c) containment histogram
-/// tells the cost planner a single bounded probe suffices.
+/// The rare-anchor document: `n` identical `q` subtrees, then one `x`
+/// subtree. `//x//c` has one answer; a merge sweeps the full `c` posting
+/// list to reach it (an anchor at the front would end the sweep at once)
+/// while a single bounded probe suffices.
 fn skewed_anchor_doc(n: usize) -> String {
     let mut s = String::with_capacity(n * 12 + 32);
-    s.push_str("<r><x><c/></x>");
+    s.push_str("<r>");
     for _ in 0..n {
         s.push_str("<q><c/></q>");
     }
-    s.push_str("</r>");
+    s.push_str("<x><c/></x></r>");
     s
 }
 
-/// The estimator-hostile document: 33 decoy tags crowd `x` out of the
-/// top-32 frequent-tag set, so the (x, c) pair prices by independence —
-/// a severe underestimate. The cost planner picks a bounded nested-loop
-/// with a tiny budget, trips it mid-query, and re-plans into the
-/// runner-up strategy (one re-plan fallback event per evaluation).
-fn underestimated_doc(per_anchor: usize) -> String {
-    let mut s = String::new();
-    s.push_str("<r>");
-    for d in 0..33 {
-        for _ in 0..6 {
-            let _ = write!(s, "<d{d}/>");
-        }
+/// The adversarial comparison: `Auto`'s per-edge kernel against each
+/// forced kernel on the same document, interleaved timing.
+fn adversarial_entry(name: &str, xml: &str, query: &str, rounds: u32) -> (Json, f64) {
+    let engine = Engine::new(Document::parse_str(xml).expect("adversarial doc"));
+    let want = engine.eval_path_str(query, Strategy::Auto).expect("auto eval");
+    for forced in [Strategy::Pipelined, Strategy::BoundedNestedLoop] {
+        assert_eq!(
+            want,
+            engine.eval_path_str(query, forced).expect("forced eval"),
+            "{name}: {forced} disagrees with auto"
+        );
     }
-    for _ in 0..5 {
-        s.push_str("<x>");
-        for _ in 0..per_anchor {
-            s.push_str("<c/>");
-        }
-        s.push_str("</x>");
-    }
-    s.push_str("</r>");
-    s
-}
-
-/// One adversarial comparison: cost-based vs. static planning on the same
-/// document text, interleaved timing, traced twins for executed
-/// strategies and re-plan counts.
-fn adversarial_entry(
-    name: &str,
-    xml: &str,
-    query: &str,
-    rounds: u32,
-    tallies: &mut BTreeMap<String, u64>,
-) -> (Json, f64, u64) {
-    let static_opts =
-        EngineOptions { cost_based_planner: false, ..EngineOptions::default() };
-    let cost = Engine::new(Document::parse_str(xml).expect("adversarial doc"));
-    let stat = Engine::with_options(
-        Document::parse_str(xml).expect("adversarial doc"),
-        static_opts,
-    );
-    let cost_traced = Engine::with_options(
-        Document::parse_str(xml).expect("adversarial doc"),
-        EngineOptions { trace: true, ..EngineOptions::default() },
-    );
-    let stat_traced = Engine::with_options(
-        Document::parse_str(xml).expect("adversarial doc"),
-        EngineOptions { trace: true, ..static_opts },
-    );
-
-    let want = cost.eval_path_str(query, Strategy::Auto).expect("cost eval");
-    assert_eq!(
-        want,
-        stat.eval_path_str(query, Strategy::Auto).expect("static eval"),
-        "{name}: planner modes disagree"
-    );
-
-    let (_, cost_trace) = cost_traced.eval_path_traced(query, Strategy::Auto).unwrap();
-    let (_, stat_trace) = stat_traced.eval_path_traced(query, Strategy::Auto).unwrap();
-    let replans = cost_trace
-        .fallbacks
-        .iter()
-        .filter(|f| f.reason.starts_with("re-plan"))
-        .count() as u64;
-    *tallies.entry(cost_trace.executed.to_string()).or_insert(0) += 1;
-
-    let (s_cost, s_stat) = timing::time_pair(
-        &format!("{name}-cost"),
-        &format!("{name}-static"),
+    let plan = engine.explain_path(query).expect("explain").to_string();
+    let (s_auto, s_merge) = timing::time_pair(
+        &format!("{name}-auto"),
+        &format!("{name}-merge"),
         1,
         rounds,
-        || cost.eval_path_str(query, Strategy::Auto).unwrap().len(),
-        || stat.eval_path_str(query, Strategy::Auto).unwrap().len(),
+        || engine.eval_path_str(query, Strategy::Auto).unwrap().len(),
+        || engine.eval_path_str(query, Strategy::Pipelined).unwrap().len(),
     );
-    let speedup = s_stat.min.as_secs_f64() / s_cost.min.as_secs_f64().max(1e-12);
+    let s_probe = timing::time(&format!("{name}-probe"), 1, rounds, || {
+        engine.eval_path_str(query, Strategy::BoundedNestedLoop).unwrap().len()
+    });
+    let speedup = s_merge.min.as_secs_f64() / s_auto.min.as_secs_f64().max(1e-12);
     eprintln!(
-        "  {name}: cost {} ({:.3}ms) vs static {} ({:.3}ms) — {speedup:.2}x, {replans} re-plan(s)",
-        cost_trace.executed,
-        s_cost.min.as_secs_f64() * 1e3,
-        stat_trace.executed,
-        s_stat.min.as_secs_f64() * 1e3,
+        "  {name}: auto {:.3}ms vs forced merge {:.3}ms ({speedup:.2}x), forced probe {:.3}ms",
+        s_auto.min.as_secs_f64() * 1e3,
+        s_merge.min.as_secs_f64() * 1e3,
+        s_probe.min.as_secs_f64() * 1e3,
     );
     let entry = Json::obj([
         ("name", Json::str(name)),
         ("query", Json::str(query)),
         ("result_count", Json::Num(want.len() as f64)),
-        ("cost_executed", Json::str(cost_trace.executed.to_string())),
-        ("static_executed", Json::str(stat_trace.executed.to_string())),
-        ("cost_s", Json::Num(s_cost.min.as_secs_f64())),
-        ("static_s", Json::Num(s_stat.min.as_secs_f64())),
+        ("auto_probes", Json::Bool(plan.contains("semijoin/probe"))),
+        ("auto_s", Json::Num(s_auto.min.as_secs_f64())),
+        ("forced_merge_s", Json::Num(s_merge.min.as_secs_f64())),
+        ("forced_probe_s", Json::Num(s_probe.min.as_secs_f64())),
         ("speedup", Json::Num(speedup)),
-        ("replan_events", Json::Num(replans as f64)),
     ]);
-    (entry, speedup, replans)
+    (entry, speedup)
 }
 
 fn main() {
@@ -176,6 +193,7 @@ fn main() {
     let mut total_planner = 0.0f64;
     let mut total_oracle = 0.0f64;
     let mut tallies: BTreeMap<String, u64> = BTreeMap::new();
+    let mut oracle_tallies: BTreeMap<String, u64> = BTreeMap::new();
 
     for ds in Dataset::all() {
         eprintln!("generating {} (scale {scale}) ...", ds.name());
@@ -187,49 +205,16 @@ fn main() {
             EngineOptions { trace: true, ..EngineOptions::default() },
         );
         for q in queries(ds) {
-            // Reference result: the navigational engine is always
-            // applicable and spec-direct.
-            let want = engine
-                .eval_path_str(q.path, Strategy::Navigational)
-                .expect("navigational reference");
+            let name = format!("{}-{}", ds.name(), q.id);
             // Oracle: fastest explicit strategy that reproduces the
-            // reference result.
-            let mut cells = Vec::new();
-            let mut oracle_s = f64::INFINITY;
-            let mut oracle_strategy = "nav".to_string();
-            for (label, strategy) in CANDIDATES {
-                match engine.eval_path_str(q.path, strategy) {
-                    Ok(got) if got == want => {}
-                    _ => continue, // not applicable to this query
-                }
-                let s = timing::time(
-                    &format!("{}-{}-{label}", ds.name(), q.id),
-                    1,
-                    rounds,
-                    || engine.eval_path_str(q.path, strategy).unwrap().len(),
-                );
-                let min_s = s.min.as_secs_f64();
-                if min_s < oracle_s {
-                    oracle_s = min_s;
-                    oracle_strategy = label.to_string();
-                }
-                cells.push(Json::obj([
-                    ("strategy", Json::str(label)),
-                    ("min_s", Json::Num(min_s)),
-                ]));
-            }
+            // navigational result (always applicable and spec-direct).
+            let (cells, oracle_strategy, oracle_s) =
+                race(&engine, &name, q.path, &CANDIDATES, rounds);
             // Planner-picked: Auto under the cost-based planner.
-            let got = engine.eval_path_str(q.path, Strategy::Auto).expect("auto");
-            assert_eq!(got, want, "{} {}: auto disagrees with reference", ds.name(), q.id);
-            let s = timing::time(
-                &format!("{}-{}-planner", ds.name(), q.id),
-                1,
-                rounds,
-                || engine.eval_path_str(q.path, Strategy::Auto).unwrap().len(),
-            );
-            let planner_s = s.min.as_secs_f64();
-            let (_, trace) = traced.eval_path_traced(q.path, Strategy::Auto).unwrap();
-            *tallies.entry(trace.executed.to_string()).or_insert(0) += 1;
+            let (planner_s, executed, result_count) =
+                time_auto(&engine, &traced, &name, q.path, rounds);
+            *tallies.entry(executed.clone()).or_insert(0) += 1;
+            *oracle_tallies.entry(oracle_strategy.clone()).or_insert(0) += 1;
 
             let ratio = planner_s / oracle_s.max(1e-12);
             ratios.push(ratio);
@@ -240,7 +225,7 @@ fn main() {
                 ds.name(),
                 q.id,
                 q.category,
-                trace.executed,
+                executed,
                 planner_s * 1e3,
                 oracle_strategy,
                 oracle_s * 1e3,
@@ -250,9 +235,9 @@ fn main() {
                 ("dataset", Json::str(ds.name())),
                 ("query", Json::str(q.id)),
                 ("category", Json::str(q.category)),
-                ("result_count", Json::Num(want.len() as f64)),
+                ("result_count", Json::Num(result_count as f64)),
                 ("planner_s", Json::Num(planner_s)),
-                ("planner_executed", Json::str(trace.executed.to_string())),
+                ("planner_executed", Json::str(executed)),
                 ("oracle_s", Json::Num(oracle_s)),
                 ("oracle_strategy", Json::str(oracle_strategy)),
                 ("ratio", Json::Num(ratio)),
@@ -269,32 +254,42 @@ fn main() {
         ratios.len()
     );
 
-    eprintln!("adversarial workloads ...");
-    let mut adversarial = Vec::new();
-    let mut best_speedup = 0.0f64;
-    let mut replan_fired = 0u64;
-    // Sized so the static pipelined scan is decisively measurable but the
+    eprintln!("adversarial workload ...");
+    // Sized so the forced merge's sweep is decisively measurable but the
     // whole harness still runs at CI scale.
-    let (e, s, r) = adversarial_entry(
-        "skewed-anchor",
-        &skewed_anchor_doc(100_000),
-        "//x//c",
-        rounds,
-        &mut tallies,
+    let (entry, best_speedup) =
+        adversarial_entry("skewed-anchor", &skewed_anchor_doc(100_000), "//x//c", rounds);
+    let adversarial = vec![entry];
+
+    eprintln!("a cut edge outside the flat pipeline ...");
+    let sections = ((30_000.0 * scale) as usize).max(200);
+    let query = "//a/following::b";
+    let xml = following_doc(sections);
+    let engine = Engine::new(Document::parse_str(&xml).expect("following doc"));
+    let traced = Engine::with_options(
+        Document::parse_str(&xml).expect("following doc"),
+        EngineOptions { trace: true, ..EngineOptions::default() },
     );
-    adversarial.push(e);
-    best_speedup = best_speedup.max(s);
-    replan_fired += r;
-    let (e, s, r) = adversarial_entry(
-        "underestimate-replan",
-        &underestimated_doc(3_000),
-        "//x//c",
-        rounds,
-        &mut tallies,
+    let (cells, oracle_strategy, oracle_s) = race(&engine, "following", query, &NON_FLAT, rounds);
+    let (planner_s, executed, result_count) =
+        time_auto(&engine, &traced, "following", query, rounds);
+    eprintln!(
+        "  {query} over {sections} sections: planner {executed} {:.1}ms vs oracle \
+         {oracle_strategy} {:.1}ms",
+        planner_s * 1e3,
+        oracle_s * 1e3,
     );
-    adversarial.push(e);
-    best_speedup = best_speedup.max(s);
-    replan_fired += r;
+    let following = Json::obj([
+        ("query", Json::str(query)),
+        ("sections", Json::Num(sections as f64)),
+        ("result_count", Json::Num(result_count as f64)),
+        ("planner_s", Json::Num(planner_s)),
+        ("planner_executed", Json::str(executed)),
+        ("oracle_s", Json::Num(oracle_s)),
+        ("oracle_strategy", Json::str(oracle_strategy)),
+        ("ratio", Json::Num(planner_s / oracle_s.max(1e-12))),
+        ("cells", Json::Arr(cells)),
+    ]);
 
     let report = Json::obj([
         ("bench", Json::str("planner")),
@@ -322,13 +317,22 @@ fn main() {
                     .collect(),
             ),
         ),
+        (
+            "oracle_tally",
+            Json::Obj(
+                oracle_tallies
+                    .iter()
+                    .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
+                    .collect(),
+            ),
+        ),
         ("adversarial", Json::Arr(adversarial)),
+        ("following_cut", following),
         (
             "adversarial_summary",
             Json::obj([
                 ("best_speedup", Json::Num(best_speedup)),
                 ("meets_1_5x", Json::Bool(best_speedup >= 1.5)),
-                ("replan_events", Json::Num(replan_fired as f64)),
             ]),
         ),
     ]);

@@ -40,9 +40,11 @@ fn main() {
     for ds in Dataset::all() {
         eprintln!("generating {} ...", ds.name());
         let engine = Arc::new(Engine::new(generate_scaled(ds, scale, seed)));
-        // As in the paper: NL replaces PL on recursive datasets (PL's
-        // discard rule is unsafe there) and PL replaces NL on
-        // non-recursive ones (where NL is dominated).
+        // The paper's layout: NL on recursive datasets (where its PL's
+        // discard rule is unsafe) and PL on non-recursive ones (where NL
+        // is dominated). Here both are the flat pipeline — every join a
+        // range probe under NL, a merge under PL — and either is valid
+        // on every dataset.
         let third = if ds.recursive() {
             ("NL", Strategy::BoundedNestedLoop)
         } else {

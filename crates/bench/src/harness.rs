@@ -36,8 +36,11 @@ impl Measurement {
                     format!("{secs:.0}")
                 } else if secs >= 1.0 {
                     format!("{secs:.2}")
-                } else {
+                } else if secs >= 1e-4 {
                     format!("{:.2}ms", secs * 1e3)
+                } else {
+                    // The flat pipeline's cells: tens of microseconds.
+                    format!("{:.0}µs", secs * 1e6)
                 }
             }
             Measurement::DidNotFinish => "DNF".to_string(),
@@ -170,6 +173,8 @@ mod tests {
         assert_eq!(t.cell(), "1.50");
         let ms = Measurement::Time { avg: Duration::from_micros(1500), result_count: 1 };
         assert_eq!(ms.cell(), "1.50ms");
+        let us = Measurement::Time { avg: Duration::from_micros(42), result_count: 1 };
+        assert_eq!(us.cell(), "42µs");
     }
 
     #[test]

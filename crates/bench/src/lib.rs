@@ -32,10 +32,10 @@
 //!   `TagIndex::splice` + one stats pass) against a full
 //!   serialize/reparse/rebuild on seeded mutation scripts over the five
 //!   paper datasets; writes `BENCH_update.json`.
-//! * `planner` — scores the cost-based planner: per Table-3 cell, the
-//!   planner's pick is timed against a best-of-all-strategies oracle,
-//!   plus adversarial skewed documents where the static rule mis-prices
-//!   and the adaptive re-plan must fire; writes `BENCH_planner.json`.
+//! * `planner` — scores the planner: per Table-3 cell, its pick is timed
+//!   against a best-of-all-strategies oracle, plus an adversarial skewed
+//!   document where the per-edge semi-join kernel must probe rather than
+//!   merge; writes `BENCH_planner.json`.
 //!
 //! Everything is dependency-free: timing uses the repeat-and-min harness
 //! in [`timing`], and reports serialize through its minimal JSON writer.

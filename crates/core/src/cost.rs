@@ -35,6 +35,14 @@ const COST_CAP: f64 = 1e15;
 /// which no statistics exist.
 const VALUE_TEST_SELECTIVITY: f64 = 0.5;
 
+/// The tag a name test selects; `None` for tests without per-tag statistics.
+pub(crate) fn tag_of(test: &NodeTest) -> Option<&str> {
+    match test {
+        NodeTest::Name(name) => Some(name.as_ref()),
+        _ => None,
+    }
+}
+
 /// Per-component cost table: one estimated cost per applicable
 /// decomposed strategy, plus the cardinalities the costs were derived
 /// from.
@@ -134,10 +142,7 @@ impl<'a> Estimator<'a> {
     /// standing in for the child axis (an upper bound).
     pub fn nok_survival(&self, nok: &NokTree) -> f64 {
         let root = nok.root();
-        let anchor_tag = match &nok.pattern.node(root).test {
-            NodeTest::Name(name) => Some(name.as_ref()),
-            _ => None,
-        };
+        let anchor_tag = tag_of(&nok.pattern.node(root).test);
         let mut survival = 1.0f64;
         if nok.pattern.node(root).value.is_some() {
             survival *= VALUE_TEST_SELECTIVITY;
@@ -216,10 +221,7 @@ impl<'a> Estimator<'a> {
             let cut = remaining.remove(pick);
             resolved[cut.child_nok] = true;
 
-            let parent_tag = match &d.noks[cut.parent_nok].pattern.node(cut.parent_node).test {
-                NodeTest::Name(name) => Some(name.as_ref()),
-                _ => None,
-            };
+            let parent_tag = tag_of(&d.noks[cut.parent_nok].pattern.node(cut.parent_node).test);
             let child = &d.noks[cut.child_nok];
             let child_test = &child.pattern.node(child.root()).test;
             let child_posting = self.test_count(child_test);
@@ -257,88 +259,6 @@ impl<'a> Estimator<'a> {
             naive: clamp(nv),
         }
     }
-
-    /// Cost of a holistic stream join (TwigStack / PathStack) over the
-    /// whole query: every pattern node's posting list is scanned once.
-    ///
-    /// When the same tag appears on *two or more* pattern nodes and that
-    /// tag nests in the document (`//VP/VP/…`, `//b1//c2//b1`), every
-    /// stream element can participate in up to `nesting` partial paths
-    /// simultaneously — the stack joins enumerate them all — so the scan
-    /// estimate is surcharged by the worst repeated tag's recursion
-    /// degree.
-    pub fn streams_cost(&self, d: &Decomposition) -> u64 {
-        let mut total = 0.0;
-        let mut seen: std::collections::HashMap<&str, u32> = std::collections::HashMap::new();
-        let mut surcharge = 1u16;
-        for nok in &d.noks {
-            for id in nok.pattern.ids().skip(1) {
-                let test = &nok.pattern.node(id).test;
-                total += self.test_count(test);
-                if let NodeTest::Name(name) = test {
-                    let n = seen.entry(name.as_ref()).or_insert(0);
-                    *n += 1;
-                    if *n >= 2 {
-                        if let Some(&deg) = self.stats.recursive_tags.get(name.as_ref()) {
-                            surcharge = surcharge.max(deg);
-                        }
-                    }
-                }
-            }
-        }
-        (total * f64::from(surcharge)).clamp(0.0, COST_CAP) as u64
-    }
-
-    /// Cost of the navigational baseline: a full tree walk.
-    pub fn navigational_cost(&self) -> u64 {
-        (self.stats.node_count as f64).clamp(0.0, COST_CAP) as u64
-    }
-}
-
-/// Per-element wall-clock weight of each operator, in tenths of a
-/// PathStack merge step (`W_PATHSTACK == 10`). Estimated element counts
-/// are comparable across operators only after scaling by what one
-/// element *costs* there: a navigational node visit is a few pointer
-/// chases, a TwigStack stream advance pays stack maintenance and
-/// per-level output merging, a pipelined NoK element pays the
-/// merged-scan machinery. The constants are calibrated against the
-/// planner scoring harness (`BENCH_planner.json`) on this substrate and
-/// only their *ratios* matter.
-///
-/// Weighted costs drive strategy *selection* only; [`ComponentPlan`]
-/// (`crate::plan`) keeps raw element counts so estimates stay directly
-/// comparable to the observed work a [`crate::budget::WorkBudget`]
-/// meters.
-pub mod weights {
-    /// PathStack: one sorted-stream merge step. The baseline unit.
-    pub const W_PATHSTACK: u64 = 10;
-    /// Navigational: one document node visited per pattern node.
-    pub const W_NAVIGATIONAL: u64 = 3;
-    /// TwigStack: one stream advance with stack pushes and path merges.
-    pub const W_TWIGSTACK: u64 = 140;
-    /// Pipelined NoK joins: merged-scan element plus join bookkeeping.
-    pub const W_PIPELINED: u64 = 160;
-    /// Bounded nested loop: one galloped probe step.
-    pub const W_BOUNDED: u64 = 100;
-    /// Naive nested loop: probe step plus materialization traffic.
-    pub const W_NAIVE: u64 = 120;
-}
-
-/// Scale an element-count estimate by the operator's per-element weight
-/// (see [`weights`]), saturating.
-pub fn weighted(strategy: crate::plan::Strategy, elements: u64) -> u64 {
-    use crate::plan::Strategy;
-    let w = match strategy {
-        Strategy::Navigational => weights::W_NAVIGATIONAL,
-        Strategy::TwigStack => weights::W_TWIGSTACK,
-        Strategy::PathStack => weights::W_PATHSTACK,
-        Strategy::Pipelined => weights::W_PIPELINED,
-        Strategy::BoundedNestedLoop => weights::W_BOUNDED,
-        Strategy::NaiveNestedLoop => weights::W_NAIVE,
-        // `Auto` never reaches costing; price it like the probe join.
-        Strategy::Auto => weights::W_BOUNDED,
-    };
-    elements.saturating_mul(w)
 }
 
 #[cfg(test)]
@@ -399,13 +319,5 @@ mod tests {
         let (stats, d) = setup("<a><a><b/></a></a>", "//a//b");
         let est = Estimator::new(&stats);
         assert!(est.component_costs(&d, &d.components(), 0).pipelined.is_none());
-    }
-
-    #[test]
-    fn streams_cost_sums_all_pattern_postings() {
-        let (stats, d) = setup("<r><a><b/><b/></a></r>", "//a//b");
-        let est = Estimator::new(&stats);
-        assert_eq!(est.streams_cost(&d), 3); // 1 a + 2 b
-        assert_eq!(est.navigational_cost(), 4);
     }
 }

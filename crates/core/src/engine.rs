@@ -10,12 +10,16 @@
 //! * **TwigStack** — holistic twig join per component (path queries).
 //! * **Pipelined / nested-loop** — the BlossomTree pipeline: decompose
 //!   into NoKs, match NoKs, reassemble with structural joins, apply
-//!   crossing-edge joins, extract tuples, construct results.
+//!   crossing-edge joins, extract tuples, construct results. A path
+//!   query has one returning node, so its pipeline runs projected onto
+//!   flat node lists ([`crate::flat`]); FLWORs and the naive nested loop
+//!   build NestedLists.
 
 use crate::budget::WorkBudget;
 use crate::decompose::{CutEdge, Decomposition};
 use crate::env::{self, EnvError, Tuple};
 use crate::exec::Executor;
+use crate::flat::{FlatPlan, Kernel};
 use crate::join::nested_loop::{bounded_nlj, naive_nlj};
 use crate::join::pipelined::{PipelinedJoin, StreamItem};
 use crate::join::twigstack::{TwigError, TwigMatcher};
@@ -97,24 +101,30 @@ impl From<EnvError> for EngineError {
 /// A naive-evaluator variable environment: bindings in scope order.
 type NaiveEnv = Vec<(String, Vec<NodeId>)>;
 
-/// A compiled path query: its BlossomTree, decomposition and cost-based
-/// plan, cached per `(document identity, query text)` so repeated
-/// evaluations skip parsing, planning *and* costing.
+/// A compiled path query: its BlossomTree, decomposition, resolved plan
+/// and flat operator plan, cached per `(document identity, query text)`
+/// so repeated evaluations skip parsing, planning *and* compiling.
 ///
 /// The parse and decomposition depend only on the query text, but the
-/// cost-based plan prices the decomposition against one document's
-/// statistics — so entries are keyed by [`Document::uid`] as well (see
+/// estimates price the decomposition against one document's statistics
+/// and the flat plan holds that document's symbols and posting-list
+/// lengths — so entries are keyed by [`Document::uid`] as well (see
 /// [`Engine::plan_key`]), and one shared cache still safely serves
 /// engines over different documents.
 struct CachedPlan {
     path: PathExpr,
     bt: BlossomTree,
     decomposition: Decomposition,
-    /// The resolved `Auto` plan under the cost-based planner, priced
+    /// The resolved `Auto` plan with the cost model's ledger, estimated
     /// against the statistics of the document this entry is keyed by.
     /// Engines running with [`EngineOptions::cost_based_planner`] off
-    /// ignore it and re-derive the structural choice instead.
+    /// take the strategy (it is structural) and ignore the ledger.
     cost_plan: Plan,
+    /// The flat operator plan `Pipelined` / `BoundedNestedLoop` run, with
+    /// this document's symbols resolved; `Err` says why the query is
+    /// outside the flat pipeline (forced onto it, those run the NestedList
+    /// pipeline as a recorded plan rewrite).
+    flat: Result<FlatPlan, String>,
 }
 
 /// Tuning knobs for an [`Engine`].
@@ -131,7 +141,9 @@ pub struct EngineOptions {
     /// Let the structural operators gallop past provably joinless input
     /// (posting-list `skip_to` and NoK stream `skip_past`). `false` forces
     /// the one-element-at-a-time scans; results are identical either way.
-    /// On by default — this knob exists for benchmarking the skips.
+    /// On by default — this knob exists for benchmarking the skips. A path
+    /// query's flat semi-joins ([`crate::flat`]) do not consult it: each
+    /// gallops or sweeps as its two list lengths say.
     pub skip_joins: bool,
     /// Collect execution traces: per-operator work counters, strategy
     /// decisions and fallback events, drained per query by
@@ -149,12 +161,14 @@ pub struct EngineOptions {
     /// strategy on one — the request is over.
     pub deadline: Option<Instant>,
     /// Resolve `Auto` with the selectivity-driven cost model
-    /// ([`crate::cost`]): per-component strategy choices, overriding the
-    /// structural rules only on a decisive estimated gap. `false` falls
-    /// back to the v1 structural rules alone. Results are byte-identical
-    /// either way — only the physical plan changes.
+    /// ([`crate::cost`]): per-component strategy choices for a FLWOR,
+    /// overriding the structural rules only on a decisive estimated gap,
+    /// and the estimated-vs-actual ledger of every trace. `false` falls
+    /// back to the structural rules alone (which is all a path query's
+    /// strategy ever depends on). Results are byte-identical either way —
+    /// only the physical plan changes.
     pub cost_based_planner: bool,
-    /// Adaptive re-planning head-room: a component may spend up to
+    /// Adaptive re-planning head-room: a FLWOR component may spend up to
     /// `estimated cost × replan_factor` work units before the engine
     /// aborts it and re-enters with the runner-up strategy (recorded as a
     /// fallback event). `0` disables mid-query re-planning. Only
@@ -441,17 +455,6 @@ impl Engine {
         format!("{}#{query}", self.doc.uid())
     }
 
-    /// Resolve `Auto` for a path decomposition under this engine's
-    /// planner mode: the cost model when [`EngineOptions::cost_based_planner`]
-    /// is on, the v1 structural rules otherwise.
-    fn choose_plan(&self, path: &PathExpr, d: &Decomposition) -> Plan {
-        if self.cost_based {
-            plan::choose(path, d, &self.stats)
-        } else {
-            plan::choose_static(path, d, &self.stats)
-        }
-    }
-
     /// A fresh work budget for a run whose cost the planner estimated at
     /// `est_cost`, or `None` when adaptive re-planning is off.
     fn make_budget(&self, est_cost: u64) -> Option<Arc<WorkBudget>> {
@@ -499,19 +502,20 @@ impl Engine {
         &self.stats
     }
 
-    /// The plan `Auto` resolves to for a path query (under this engine's
-    /// planner mode — cost-based or structural).
+    /// The plan `Auto` resolves to for a path query, with the flat
+    /// pipeline's operator list when that is what it runs.
     pub fn explain_path(&self, query: &str) -> Result<Plan, EngineError> {
         let path = blossom_xpath::parse_path(query)?;
         if path.has_positional() || path.has_disjunction() {
-            return Ok(self.choose_plan(
-                &path,
-                &Decomposition::decompose(&BlossomTree::from_path(&strip(&path))?),
-            ));
+            let stripped = BlossomTree::from_path(&strip(&path))?;
+            return Ok(plan::choose_static(&path, &Decomposition::decompose(&stripped)));
         }
-        let bt = BlossomTree::from_path(&path)?;
-        let d = Decomposition::decompose(&bt);
-        Ok(self.choose_plan(&path, &d))
+        let compiled = self.compile_path(&path)?;
+        let mut plan = compiled.cost_plan;
+        if let (Strategy::Pipelined, Ok(flat)) = (plan.strategy, &compiled.flat) {
+            plan.operators = flat.to_string().lines().map(str::to_string).collect();
+        }
+        Ok(plan)
     }
 
     /// Evaluate a path query whose result is a *value* sequence: the
@@ -591,10 +595,7 @@ reason: {what}
             },
             None => match &expr {
                 Expr::Path(p) => {
-                    let plan = self.explain_path(&p.to_string())?;
-                    return Ok(format!("plan: {}
-reason: {}
-", plan.strategy, plan.reason));
+                    return Ok(format!("{}\n", self.explain_path(&p.to_string())?));
                 }
                 _ => {
                     return Err(EngineError::Unsupported(
@@ -697,21 +698,56 @@ reason: {}
         strategy: Strategy,
         phases: &mut PhaseTimings,
     ) -> Result<Vec<NodeId>, EngineError> {
-        if path.has_positional() || path.has_disjunction() {
-            // Outside the pattern algebra: no plan to cache.
-            let t = Instant::now();
-            let result = self.eval_path(path, strategy);
-            phases.matching = t.elapsed();
-            return result;
-        }
         let t = Instant::now();
+        match self.compile_path(path) {
+            Ok(plan) => {
+                let plan = Arc::new(plan);
+                self.plans.insert(self.plan_key(query), plan.clone());
+                phases.plan = t.elapsed();
+                self.eval_path_planned(&plan, strategy, phases)
+            }
+            // No plan to cache.
+            Err(e) => {
+                let result = self.eval_path_outside_algebra(path, strategy, e);
+                phases.matching = t.elapsed();
+                result
+            }
+        }
+    }
+
+    /// Plan a path query against this document: BlossomTree,
+    /// decomposition, cost-based `Auto` resolution and the flat operator
+    /// plan. `Err` means the path is outside the pattern algebra.
+    fn compile_path(&self, path: &PathExpr) -> Result<CachedPlan, EngineError> {
         let bt = BlossomTree::from_path(path)?;
         let decomposition = Decomposition::decompose(&bt);
         let cost_plan = plan::choose(path, &decomposition, &self.stats);
-        let plan = Arc::new(CachedPlan { path: path.clone(), bt, decomposition, cost_plan });
-        self.plans.insert(self.plan_key(query), plan.clone());
-        phases.plan = t.elapsed();
-        self.eval_path_planned(&plan, strategy, phases)
+        let flat = FlatPlan::compile(&decomposition, bt.returning[0], &self.doc, &self.stats);
+        Ok(CachedPlan { path: path.clone(), bt, decomposition, cost_plan, flat })
+    }
+
+    /// A path outside the pattern algebra (positional predicates, `or`,
+    /// `not`): the navigational evaluator covers the full AST, every
+    /// other strategy rejects it with the reason `why`.
+    fn eval_path_outside_algebra(
+        &self,
+        path: &PathExpr,
+        strategy: Strategy,
+        why: EngineError,
+    ) -> Result<Vec<NodeId>, EngineError> {
+        if !matches!(strategy, Strategy::Auto | Strategy::Navigational) {
+            return Err(why);
+        }
+        if let Some(sink) = self.sink() {
+            sink.record_plan(PlanDecision {
+                requested: strategy,
+                resolved: Strategy::Navigational,
+                reason: format!("outside the pattern algebra: {why}"),
+                twigstack_compatible: None,
+            });
+            sink.record_executed(Strategy::Navigational);
+        }
+        Ok(self.eval_nav(path))
     }
 
     /// Evaluate an already-parsed top-level path through the plan cache,
@@ -844,18 +880,12 @@ reason: {}
         let (path, bt, d) = (&cached.path, &cached.bt, &cached.decomposition);
         let requested = strategy;
         let auto = requested == Strategy::Auto;
-        // Structural re-derivation storage for `--no-cost-planner` mode
-        // (the cached cost plan must not leak into static engines).
-        let static_plan;
-        let mut components: Option<&[ComponentPlan]> = None;
-        let mut est_cost = 0u64;
+        // Both planner modes resolve a path query by the same structural
+        // rule; the cost model only adds the ledger of estimates, which an
+        // engine with the cost planner off does not record.
+        let mut ledger: &[ComponentPlan] = &[];
         let strategy = if auto {
-            let chosen: &Plan = if self.cost_based {
-                &cached.cost_plan
-            } else {
-                static_plan = plan::choose_static(path, d, &self.stats);
-                &static_plan
-            };
+            let chosen = &cached.cost_plan;
             if let Some(sink) = self.sink() {
                 sink.record_plan(PlanDecision {
                     requested,
@@ -865,34 +895,7 @@ reason: {}
                 });
             }
             if self.cost_based {
-                components = Some(&chosen.components);
-                est_cost = chosen.est_cost;
-                // Whole-query strategies never reach `eval_decomposition`,
-                // which otherwise records the estimate rows (with actuals).
-                if !matches!(
-                    chosen.strategy,
-                    Strategy::Pipelined
-                        | Strategy::BoundedNestedLoop
-                        | Strategy::NaiveNestedLoop
-                ) {
-                    if let Some(sink) = self.sink() {
-                        sink.record_estimates(
-                            chosen
-                                .components
-                                .iter()
-                                .map(|c| EstimateRecord {
-                                    component: c.component,
-                                    strategy: c.strategy,
-                                    est_anchors: c.est_anchors,
-                                    est_output: c.est_output,
-                                    est_cost: c.est_cost,
-                                    actual_output: None,
-                                    replanned: false,
-                                })
-                                .collect(),
-                        );
-                    }
-                }
+                ledger = &chosen.components;
             }
             chosen.strategy
         } else {
@@ -907,173 +910,120 @@ reason: {}
             requested
         };
         let t = Instant::now();
+        // Root anchors that survived every join: the component's output
+        // cardinality in the planner's ledger (the holistic joins and the
+        // navigational walk have no such intermediate).
+        let mut anchors = None;
+        let mut note = |(nodes, survivors): (Vec<NodeId>, u64)| {
+            anchors = Some(survivors);
+            nodes
+        };
         let result = match strategy {
             Strategy::Navigational => Ok(self.eval_nav(path)),
-            Strategy::TwigStack => self.eval_path_twigstack(path, self.make_budget(est_cost)),
-            Strategy::PathStack => self.eval_path_pathstack(path, self.make_budget(est_cost)),
-            Strategy::Pipelined | Strategy::BoundedNestedLoop | Strategy::NaiveNestedLoop => {
-                let output = bt.returning[0];
-                self.eval_decomposition(d, strategy, None, components).map(|results| {
-                    let t = Instant::now();
-                    let out_shape =
-                        d.shape.by_pattern(output).expect("query output is returning");
-                    let mut nodes = ops::project_seq_shape(&results, out_shape);
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    phases.merge = t.elapsed();
-                    nodes
-                })
+            Strategy::TwigStack => self.eval_path_twigstack(bt),
+            Strategy::PathStack => self.eval_path_pathstack(bt),
+            Strategy::Pipelined | Strategy::BoundedNestedLoop => match &cached.flat {
+                Ok(flat) => {
+                    // A forced strategy forces its join on every cut edge;
+                    // under `Auto` each picks from its input lengths.
+                    let force = match strategy {
+                        _ if auto => None,
+                        Strategy::Pipelined => Some(Kernel::Merge),
+                        _ => Some(Kernel::Probe),
+                    };
+                    flat.run(&self.doc, &self.index, force, self.sink(), &|| {
+                        self.check_deadline()
+                    })
+                    .map(&mut note)
+                }
+                // Only reachable forced (`Auto` plans such a query as
+                // navigational): the NestedList pipeline's bounded nested
+                // loop joins any cut edge.
+                Err(why) => {
+                    let rewritten = Strategy::BoundedNestedLoop;
+                    if let Some(sink) = self.sink() {
+                        sink.record_fallback(
+                            strategy,
+                            rewritten,
+                            format!("{why}: NestedList pipeline instead of the flat one"),
+                        );
+                        sink.record_executed(rewritten);
+                    }
+                    self.eval_path_nested(cached, rewritten, phases).map(&mut note)
+                }
+            },
+            Strategy::NaiveNestedLoop => {
+                self.eval_path_nested(cached, strategy, phases).map(&mut note)
             }
             Strategy::Auto => unreachable!("resolved above"),
         };
         phases.matching = t.elapsed() - phases.merge;
-        match result {
-            // The planner's feature checks are conservative approximations
-            // of each strategy's real support; if the chosen strategy still
-            // rejects the query, Auto must not surface that — navigational
-            // evaluation is total. A deadline abort is not a capability
-            // error: falling back would re-run the whole query after the
-            // deadline already passed, so it surfaces as-is.
-            Err(e) if auto && !matches!(e, EngineError::Deadline) => {
-                if let Some(sink) = self.sink() {
-                    sink.record_fallback(strategy, Strategy::Navigational, e.to_string());
-                    sink.record_executed(Strategy::Navigational);
-                }
-                Ok(self.eval_nav(path))
-            }
-            r => {
-                if r.is_ok() {
-                    if let Some(sink) = self.sink() {
-                        sink.record_executed(strategy);
-                    }
-                }
-                r
+        if let Some(sink) = self.sink() {
+            sink.record_estimates(
+                ledger
+                    .iter()
+                    .map(|c| EstimateRecord {
+                        component: c.component,
+                        strategy: c.strategy,
+                        est_anchors: c.est_anchors,
+                        est_output: c.est_output,
+                        est_cost: c.est_cost,
+                        actual_output: anchors,
+                        replanned: false,
+                    })
+                    .collect(),
+            );
+        }
+        // `Auto` resolves to the navigational walk or the flat pipeline,
+        // each total on what it is chosen for: the only error left is a
+        // deadline abort, which must surface as-is
+        // (falling back would re-run the query after its time is up).
+        if result.is_ok() {
+            if let Some(sink) = self.sink() {
+                sink.record_executed(strategy);
             }
         }
+        result
     }
 
-    /// Evaluate a parsed path query.
+    /// The NestedList pipeline on a path query: under naive nested loops
+    /// the reference implementation of the flat pipeline, under bounded
+    /// ones the plan rewrite for cut edges it has no semi-join for.
+    /// Returns the result nodes and the number of per-anchor NestedLists
+    /// they were projected from.
+    fn eval_path_nested(
+        &self,
+        cached: &CachedPlan,
+        joins: Strategy,
+        phases: &mut PhaseTimings,
+    ) -> Result<(Vec<NodeId>, u64), EngineError> {
+        let d = &cached.decomposition;
+        let results = self.eval_decomposition(d, joins, None, None)?;
+        let t = Instant::now();
+        let out_shape =
+            d.shape.by_pattern(cached.bt.returning[0]).expect("query output is returning");
+        let mut nodes = ops::project_seq_shape(&results, out_shape);
+        nodes.sort_unstable();
+        nodes.dedup();
+        phases.merge = t.elapsed();
+        Ok((nodes, results.len() as u64))
+    }
+
+    /// Evaluate a parsed path query (planned afresh: only query *text*
+    /// keys the plan cache).
     pub fn eval_path(
         &self,
         path: &PathExpr,
         strategy: Strategy,
     ) -> Result<Vec<NodeId>, EngineError> {
-        let requested = strategy;
-        let auto = requested == Strategy::Auto;
-        let mut cplans: Option<Vec<ComponentPlan>> = None;
-        let mut est_cost = 0u64;
-        let strategy = match strategy {
-            Strategy::Auto => {
-                if path.has_positional() || path.has_disjunction() {
-                    if let Some(sink) = self.sink() {
-                        sink.record_plan(PlanDecision {
-                            requested,
-                            resolved: Strategy::Navigational,
-                            reason: "positional predicates or disjunction are outside \
-                                     the pattern algebra"
-                                .into(),
-                            twigstack_compatible: None,
-                        });
-                    }
-                    Strategy::Navigational
-                } else {
-                    match BlossomTree::from_path(path) {
-                        Ok(bt) => {
-                            let d = Decomposition::decompose(&bt);
-                            let chosen = self.choose_plan(path, &d);
-                            if let Some(sink) = self.sink() {
-                                sink.record_plan(PlanDecision {
-                                    requested,
-                                    resolved: chosen.strategy,
-                                    reason: chosen.reason.clone(),
-                                    twigstack_compatible: Some(chosen.twigstack_compatible),
-                                });
-                            }
-                            if self.cost_based {
-                                est_cost = chosen.est_cost;
-                                cplans = Some(chosen.components);
-                            }
-                            chosen.strategy
-                        }
-                        // Outside the pattern algebra: navigational covers
-                        // the full AST.
-                        Err(e) => {
-                            if let Some(sink) = self.sink() {
-                                sink.record_plan(PlanDecision {
-                                    requested,
-                                    resolved: Strategy::Navigational,
-                                    reason: format!("outside the pattern algebra: {e}"),
-                                    twigstack_compatible: None,
-                                });
-                            }
-                            Strategy::Navigational
-                        }
-                    }
-                }
-            }
-            s => {
-                if let Some(sink) = self.sink() {
-                    sink.record_plan(PlanDecision {
-                        requested,
-                        resolved: s,
-                        reason: "explicitly requested".into(),
-                        twigstack_compatible: BlossomTree::from_path(path).ok().map(|bt| {
-                            plan::twigstack_compatible(&Decomposition::decompose(&bt))
-                        }),
-                    });
-                }
-                s
-            }
-        };
-        let result = match strategy {
-            Strategy::Navigational => Ok(self.eval_nav(path)),
-            Strategy::TwigStack => self.eval_path_twigstack(path, self.make_budget(est_cost)),
-            Strategy::PathStack => self.eval_path_pathstack(path, self.make_budget(est_cost)),
-            Strategy::Pipelined | Strategy::BoundedNestedLoop | Strategy::NaiveNestedLoop => {
-                BlossomTree::from_path(path).map_err(EngineError::from).and_then(|bt| {
-                    let output = bt.returning[0];
-                    let d = Decomposition::decompose(&bt);
-                    let results = self.eval_decomposition(&d, strategy, None, cplans.as_deref())?;
-                    let out_shape = d
-                        .shape
-                        .by_pattern(output)
-                        .expect("query output is returning");
-                    let mut nodes = ops::project_seq_shape(&results, out_shape);
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    Ok(nodes)
-                })
-            }
-            Strategy::Auto => unreachable!("resolved above"),
-        };
-        match result {
-            // Same contract as `eval_path_planned`: Auto never leaks a
-            // strategy's capability error — but a deadline abort is final.
-            Err(e) if auto && !matches!(e, EngineError::Deadline) => {
-                if let Some(sink) = self.sink() {
-                    sink.record_fallback(strategy, Strategy::Navigational, e.to_string());
-                    sink.record_executed(Strategy::Navigational);
-                }
-                Ok(self.eval_nav(path))
-            }
-            r => {
-                if r.is_ok() {
-                    if let Some(sink) = self.sink() {
-                        sink.record_executed(strategy);
-                    }
-                }
-                r
-            }
+        match self.compile_path(path) {
+            Ok(plan) => self.eval_path_planned(&plan, strategy, &mut PhaseTimings::default()),
+            Err(e) => self.eval_path_outside_algebra(path, strategy, e),
         }
     }
 
-    fn eval_path_pathstack(
-        &self,
-        path: &PathExpr,
-        budget: Option<Arc<WorkBudget>>,
-    ) -> Result<Vec<NodeId>, EngineError> {
+    fn eval_path_pathstack(&self, bt: &BlossomTree) -> Result<Vec<NodeId>, EngineError> {
         use crate::join::pathstack::PathStackMatcher;
-        let bt = BlossomTree::from_path(path)?;
         let output = bt.returning[0];
         let roots = &bt.pattern.node(blossom_xpath::PatternNodeId::ROOT).children;
         if roots.len() != 1 {
@@ -1097,19 +1047,7 @@ reason: {}
             self.skip_joins,
         )?;
         m.enable_meter(self.trace);
-        m.set_budget(budget.clone());
         m.run();
-        if let Some(b) = &budget {
-            if b.tripped() {
-                // Truncated run: reject it so Auto re-enters navigationally
-                // (recorded as a fallback event), never surfacing partials.
-                return Err(EngineError::Unsupported(format!(
-                    "work budget exceeded: observed work {} > {} (estimated cost x replan factor)",
-                    b.spent(),
-                    b.limit()
-                )));
-            }
-        }
         let nodes = m.solution_nodes(output);
         if let Some(sink) = self.sink() {
             let mut c = m.counters();
@@ -1119,12 +1057,7 @@ reason: {}
         Ok(nodes)
     }
 
-    fn eval_path_twigstack(
-        &self,
-        path: &PathExpr,
-        budget: Option<Arc<WorkBudget>>,
-    ) -> Result<Vec<NodeId>, EngineError> {
-        let bt = BlossomTree::from_path(path)?;
+    fn eval_path_twigstack(&self, bt: &BlossomTree) -> Result<Vec<NodeId>, EngineError> {
         let output = bt.returning[0];
         let roots = &bt.pattern.node(blossom_xpath::PatternNodeId::ROOT).children;
         if roots.len() != 1 {
@@ -1148,19 +1081,7 @@ reason: {}
             self.skip_joins,
         )?;
         tm.enable_meter(self.trace);
-        tm.set_budget(budget.clone());
         tm.run();
-        if let Some(b) = &budget {
-            if b.tripped() {
-                // Same contract as PathStack: a tripped run is truncated,
-                // so reject it and let Auto's navigational fallback run.
-                return Err(EngineError::Unsupported(format!(
-                    "work budget exceeded: observed work {} > {} (estimated cost x replan factor)",
-                    b.spent(),
-                    b.limit()
-                )));
-            }
-        }
         let nodes = tm.solution_nodes(output);
         if let Some(sink) = self.sink() {
             let mut c = tm.counters();
@@ -2253,10 +2174,17 @@ mod tests {
     fn auto_plan_explanations() {
         let flat = Engine::from_xml("<r><a><b/></a></r>").unwrap();
         assert_eq!(flat.explain_path("//a//b").unwrap().strategy, Strategy::Pipelined);
+        // Same-tag nesting does not leave the flat pipeline.
         let rec = Engine::from_xml("<a><a><b/></a></a>").unwrap();
-        assert_eq!(rec.explain_path("//a//b").unwrap().strategy, Strategy::TwigStack);
+        let plan = rec.explain_path("//a//b").unwrap();
+        assert_eq!(plan.strategy, Strategy::Pipelined);
+        assert!(plan.to_string().contains("anc-semijoin/merge"), "{plan}");
         assert_eq!(
             rec.explain_path("//a[1]").unwrap().strategy,
+            Strategy::Navigational
+        );
+        assert_eq!(
+            rec.explain_path("//a/following::b").unwrap().strategy,
             Strategy::Navigational
         );
     }
@@ -2554,26 +2482,33 @@ mod plan_cache_tests {
         assert_eq!((s.hits, s.misses, s.len), (2, 2, 2));
     }
 
-    #[test]
-    fn per_document_keys_isolate_cost_plans() {
-        // Same query text, shared cache, two documents whose statistics
-        // resolve to *different* strategies: each engine must get the
-        // plan priced for its own document.
-        fn skewed(commons: usize) -> String {
-            let mut xml = String::from("<r><x><c/></x>");
-            for _ in 0..commons {
-                xml.push_str("<q><c/></q>");
-            }
-            xml.push_str("</r>");
-            xml
+    fn skewed(commons: usize) -> String {
+        let mut xml = String::from("<r><x><c/></x>");
+        for _ in 0..commons {
+            xml.push_str("<q><c/></q>");
         }
+        xml.push_str("</r>");
+        xml
+    }
+
+    #[test]
+    fn per_document_keys_isolate_compiled_plans() {
+        // Same query text, shared cache, two documents that intern `x`
+        // and `c` in opposite order (and whose lists call for different
+        // semi-join kernels): each engine must run the plan compiled for
+        // its own document, or it joins the wrong posting lists.
+        let kernel = |t: &QueryTrace| {
+            let op = t.ops.iter().find(|o| o.op.contains("anc-semijoin")).expect("one cut edge");
+            op.op.rsplit('/').next().unwrap().to_string()
+        };
         let small = Engine::with_options(
-            Document::parse_str("<r><x><c/></x></r>").unwrap(),
+            Document::parse_str("<r><c/><x><c/></x></r>").unwrap(),
             EngineOptions { trace: true, ..EngineOptions::default() },
         );
         let cache = small.plan_cache();
-        let (_, t) = small.eval_path_traced("//x//c", Strategy::Auto).unwrap();
-        assert_eq!(t.resolved, Strategy::Pipelined, "{}", t.plan_reason);
+        let (nodes, t) = small.eval_path_traced("//x//c", Strategy::Auto).unwrap();
+        assert_eq!(nodes.len(), 1);
+        assert_eq!(kernel(&t), "merge", "{:?}", t.ops);
 
         let doc = Document::parse_str(&skewed(999)).unwrap();
         let index = Arc::new(TagIndex::build(&doc));
@@ -2587,26 +2522,18 @@ mod plan_cache_tests {
         );
         let (nodes, t) = big.eval_path_traced("//x//c", Strategy::Auto).unwrap();
         assert_eq!(nodes.len(), 1);
-        assert_eq!(t.resolved, Strategy::BoundedNestedLoop, "{}", t.plan_reason);
-        // And the small engine still resolves from its own cached entry.
-        let (_, t) = small.eval_path_traced("//x//c", Strategy::Auto).unwrap();
-        assert_eq!(t.resolved, Strategy::Pipelined, "{}", t.plan_reason);
+        assert_eq!(kernel(&t), "probe", "{:?}", t.ops);
+        // And the small engine still runs its own cached entry.
+        let (nodes, t) = small.eval_path_traced("//x//c", Strategy::Auto).unwrap();
+        assert_eq!(nodes.len(), 1);
+        assert_eq!(kernel(&t), "merge", "{:?}", t.ops);
         assert!(t.cache.hits >= 1);
     }
 
     #[test]
     fn static_engines_ignore_the_cached_cost_plan() {
-        // A cache entry holds the cost-based resolution; an engine with
-        // the cost planner off re-derives the structural choice instead
-        // of executing the cached override.
-        fn skewed(commons: usize) -> String {
-            let mut xml = String::from("<r><x><c/></x>");
-            for _ in 0..commons {
-                xml.push_str("<q><c/></q>");
-            }
-            xml.push_str("</r>");
-            xml
-        }
+        // A cache entry holds the cost-based resolution with its ledger
+        // of estimates; an engine with the cost planner off records none.
         let doc = Arc::new(Document::parse_str(&skewed(999)).unwrap());
         let index = Arc::new(TagIndex::build(&doc));
         let stats = Arc::new(doc.stats());
@@ -2619,7 +2546,9 @@ mod plan_cache_tests {
         );
         let cache = cost.plan_cache();
         let (_, t) = cost.eval_path_traced("//x//c", Strategy::Auto).unwrap();
-        assert_eq!(t.resolved, Strategy::BoundedNestedLoop, "{}", t.plan_reason);
+        assert_eq!(t.estimates.len(), 1, "{:?}", t.estimates);
+        assert_eq!(t.estimates[0].actual_output, Some(1));
+        assert!(t.plan_reason.contains("estimated"), "{}", t.plan_reason);
         let fixed = Engine::with_shared(
             doc,
             index,
@@ -2631,9 +2560,11 @@ mod plan_cache_tests {
                 ..EngineOptions::default()
             },
         );
-        // Same document, same cache entry — structural rules prevail.
+        // Same document, same cache entry: the strategy is structural,
+        // the ledger stays behind.
         let (_, t) = fixed.eval_path_traced("//x//c", Strategy::Auto).unwrap();
         assert_eq!(t.resolved, Strategy::Pipelined, "{}", t.plan_reason);
+        assert!(t.estimates.is_empty(), "{:?}", t.estimates);
     }
 }
 
@@ -2835,13 +2766,17 @@ mod sort_order_tests {
 mod replan_tests {
     use super::*;
 
+    const REPLAN_FLWOR: &str = "for $c in //x//c return $c";
+
     /// A document engineered to make the estimator underestimate: 33
     /// decoy tags outrank `x` in the frequent-tag set, so the `(x, c)`
     /// containment pair is untracked and priced by independence — tiny —
     /// while in reality every `c` lives under an `x`. The bounded
-    /// nested-loop probe the planner picks then touches ~15k elements
-    /// against an estimate of a few hundred, tripping the work budget
-    /// (whose floor is 10k units).
+    /// nested-loop probe the planner picks for the FLWOR's component then
+    /// touches ~15k elements against an estimate of a few hundred,
+    /// tripping the work budget (whose floor is 10k units). Only FLWOR
+    /// components are budgeted: a path query's flat operators do work
+    /// linear in their posting lists, with nothing to re-plan to.
     fn underestimated_doc() -> String {
         let mut xml = String::from("<r>");
         for d in 0..33 {
@@ -2866,8 +2801,7 @@ mod replan_tests {
             Document::parse_str(&underestimated_doc()).unwrap(),
             EngineOptions { trace: true, ..EngineOptions::default() },
         );
-        let (nodes, trace) = engine.eval_path_traced("//x//c", Strategy::Auto).unwrap();
-        assert_eq!(nodes.len(), 15000);
+        let (out, trace) = engine.eval_query_traced(REPLAN_FLWOR, Strategy::Auto).unwrap();
         let replans: Vec<_> = trace
             .fallbacks
             .iter()
@@ -2877,9 +2811,24 @@ mod replan_tests {
         assert_eq!(trace.estimates.len(), 1);
         assert!(trace.estimates[0].replanned, "{:?}", trace.estimates);
         assert_eq!(trace.estimates[0].actual_output, Some(5));
-        // The re-planned run's results must equal the oracle's.
-        let nav = engine.eval_path_str("//x//c", Strategy::Navigational).unwrap();
-        assert_eq!(nodes, nav);
+        // The re-planned run's results must equal the naive evaluator's.
+        let nav = engine.eval_query_str(REPLAN_FLWOR, Strategy::Navigational).unwrap();
+        assert_eq!(out.len(), 15000 + 2, "15000 <c/> under <result>, plus the document node");
+        assert_eq!(blossom_xml::writer::to_string(&out), blossom_xml::writer::to_string(&nav));
+    }
+
+    #[test]
+    fn path_queries_arm_no_budget() {
+        let engine = Engine::with_options(
+            Document::parse_str(&underestimated_doc()).unwrap(),
+            EngineOptions { trace: true, ..EngineOptions::default() },
+        );
+        let (nodes, trace) = engine.eval_path_traced("//x//c", Strategy::Auto).unwrap();
+        assert_eq!(nodes.len(), 15000);
+        assert!(trace.fallbacks.is_empty(), "{:?}", trace.fallbacks);
+        assert_eq!(trace.executed, trace.resolved);
+        assert_eq!(trace.estimates[0].actual_output, Some(5));
+        assert!(!trace.estimates[0].replanned);
     }
 
     #[test]
@@ -2888,8 +2837,7 @@ mod replan_tests {
             Document::parse_str(&underestimated_doc()).unwrap(),
             EngineOptions { trace: true, replan_factor: 0, ..EngineOptions::default() },
         );
-        let (nodes, trace) = engine.eval_path_traced("//x//c", Strategy::Auto).unwrap();
-        assert_eq!(nodes.len(), 15000);
+        let (_, trace) = engine.eval_query_traced(REPLAN_FLWOR, Strategy::Auto).unwrap();
         assert!(
             trace.fallbacks.iter().all(|f| !f.reason.contains("re-plan")),
             "{:?}",
@@ -2973,6 +2921,7 @@ mod explain_tests {
         let engine = Engine::from_xml("<r><a><b/></a></r>").unwrap();
         let report = engine.explain_query("//a//b").unwrap();
         assert!(report.contains("pipelined"), "{report}");
+        assert!(report.contains("operators:"), "{report}");
     }
 }
 

@@ -49,10 +49,6 @@ pub struct PathStackMatcher<'d> {
     skip: bool,
     /// Work counters ([`crate::obs`]); off by default.
     meter: Meter,
-    /// Adaptive work budget: each iteration of [`PathStackMatcher::run`]
-    /// charges one unit, and the loop stops once it trips. The caller
-    /// discards a tripped (truncated) run ([`crate::budget`]).
-    budget: Option<std::sync::Arc<crate::budget::WorkBudget>>,
 }
 
 impl<'d> PathStackMatcher<'d> {
@@ -133,7 +129,6 @@ impl<'d> PathStackMatcher<'d> {
             participants: (0..n).map(|_| FxHashSet::default()).collect(),
             skip,
             meter: Meter::off(),
-            budget: None,
         })
     }
 
@@ -141,13 +136,6 @@ impl<'d> PathStackMatcher<'d> {
     /// by default; enable before [`PathStackMatcher::run`].
     pub fn enable_meter(&mut self, on: bool) {
         self.meter = Meter::new(on);
-    }
-
-    /// Attach an adaptive work budget; set before [`PathStackMatcher::run`].
-    /// The caller must check [`crate::budget::WorkBudget::tripped`] after
-    /// the run and discard the (truncated) output when it fired.
-    pub fn set_budget(&mut self, budget: Option<std::sync::Arc<crate::budget::WorkBudget>>) {
-        self.budget = budget;
     }
 
     /// Counters accumulated so far: elements advanced one at a time
@@ -175,11 +163,6 @@ impl<'d> PathStackMatcher<'d> {
     /// Run the merge to completion, marking path-solution participants.
     pub fn run(&mut self) {
         loop {
-            if let Some(b) = &self.budget {
-                if !b.spend(1) {
-                    break; // tripped: caller discards the truncated run
-                }
-            }
             // q_min: slot with the smallest head.
             let mut q_min = 0usize;
             for q in 1..self.slots.len() {

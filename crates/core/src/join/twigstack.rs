@@ -83,11 +83,6 @@ pub struct TwigMatcher<'d> {
     skip: bool,
     /// Work counters ([`crate::obs`]); off by default.
     meter: Meter,
-    /// Adaptive work budget: each iteration of [`TwigMatcher::run`]
-    /// charges one unit, and the loop stops once it trips. Truncated
-    /// output is only correct because the engine rejects a tripped run
-    /// and falls back to another strategy ([`crate::budget`]).
-    budget: Option<std::sync::Arc<crate::budget::WorkBudget>>,
 }
 
 impl<'d> TwigMatcher<'d> {
@@ -207,7 +202,6 @@ impl<'d> TwigMatcher<'d> {
             participants: (0..n).map(|_| FxHashSet::default()).collect(),
             skip,
             meter: Meter::off(),
-            budget: None,
         })
     }
 
@@ -215,13 +209,6 @@ impl<'d> TwigMatcher<'d> {
     /// by default; enable before [`TwigMatcher::run`].
     pub fn enable_meter(&mut self, on: bool) {
         self.meter = Meter::new(on);
-    }
-
-    /// Attach an adaptive work budget; set before [`TwigMatcher::run`].
-    /// The caller must check [`crate::budget::WorkBudget::tripped`] after
-    /// the run and discard the (truncated) output when it fired.
-    pub fn set_budget(&mut self, budget: Option<std::sync::Arc<crate::budget::WorkBudget>>) {
-        self.budget = budget;
     }
 
     /// Counters accumulated so far: elements advanced one at a time
@@ -334,11 +321,6 @@ impl<'d> TwigMatcher<'d> {
     pub fn run(&mut self) {
         let root = 0usize;
         loop {
-            if let Some(b) = &self.budget {
-                if !b.spend(1) {
-                    break; // tripped: caller discards the truncated run
-                }
-            }
             let q = self.get_next(root);
             if self.next_l(q) == INF {
                 break; // some required stream is exhausted

@@ -14,6 +14,8 @@
 //! * the logical operators π/σ/⋈ — [`ops`],
 //! * the physical joins: pipelined //-join, (bounded) nested loops,
 //!   TwigStack, binary structural join — [`join`],
+//! * the same pipeline projected onto flat node lists for path queries
+//!   (existential NoK matching + structural semi-joins) — [`flat`],
 //! * the navigational baseline / oracle — [`navigational`],
 //! * strategy selection, the selectivity/cost estimator, adaptive work
 //!   budgets and the end-to-end engine — [`plan`], [`cost`], [`budget`],
@@ -35,6 +37,7 @@ pub mod decompose;
 pub mod engine;
 pub mod env;
 pub mod exec;
+pub mod flat;
 pub mod join;
 pub mod merge;
 pub mod navigational;

@@ -10,11 +10,13 @@
 //! 2. the correctness oracle that every join algorithm is property-tested
 //!    against.
 
+use crate::nok::ResolvedTest;
 use crate::obs::Meter;
 use crate::value::node_vs_literal;
-use blossom_xml::{Document, NodeId, NodeKind};
-use blossom_xpath::ast::{Literal, NodeTest, PathExpr, PathStart, Predicate, Step};
 use blossom_xml::Axis;
+use blossom_xml::{Document, NodeId};
+use blossom_xpath::ast::{NodeTest, PathExpr, PathStart, Predicate, Step};
+use std::borrow::Cow;
 
 /// Evaluate `path` against `doc`. `context` supplies the start nodes for
 /// context-relative paths; absolute paths start at the document node.
@@ -56,18 +58,18 @@ pub fn eval_from_counted(
     start: &[NodeId],
     meter: &mut Meter,
 ) -> Vec<NodeId> {
-    let mut current: Vec<NodeId> = start.to_vec();
+    let mut current = Cow::Borrowed(start);
     for step in steps {
+        // A name test is resolved to its symbol once per step; a name the
+        // document never uses matches no candidate.
+        let test = ResolvedTest::resolve(doc, &step.test);
         let mut next: Vec<NodeId> = Vec::new();
-        for &ctx in &current {
+        for &ctx in current.iter() {
             // Candidates along the axis, in document order, filtered by
             // the node test.
-            let candidates_all = axis_candidates(doc, step.axis, ctx);
-            meter.scanned(candidates_all.len() as u64);
-            let candidates: Vec<NodeId> = candidates_all
-                .into_iter()
-                .filter(|&n| test_matches(doc, &step.test, n))
-                .collect();
+            let mut candidates = axis_candidates(doc, step.axis, ctx);
+            meter.scanned(candidates.len() as u64);
+            test.retain(doc, &mut candidates);
             // Predicates see positions within this context's candidate
             // list (XPath semantics).
             let mut filtered = candidates;
@@ -80,13 +82,21 @@ pub fn eval_from_counted(
                     .collect();
             }
             meter.matches(filtered.len() as u64);
-            next.extend(filtered);
+            if next.is_empty() {
+                next = filtered;
+            } else {
+                next.extend(filtered);
+            }
         }
-        next.sort_unstable();
-        next.dedup();
-        current = next;
+        // One context's candidates are already distinct and in document
+        // order; several contexts' interleave.
+        if current.len() > 1 {
+            next.sort_unstable();
+            next.dedup();
+        }
+        current = Cow::Owned(next);
     }
-    current
+    current.into_owned()
 }
 
 fn axis_candidates(doc: &Document, axis: Axis, ctx: NodeId) -> Vec<NodeId> {
@@ -115,16 +125,6 @@ fn axis_candidates(doc: &Document, axis: Axis, ctx: NodeId) -> Vec<NodeId> {
             .filter(|&n| doc.last_descendant(n).0 < ctx.0)
             .collect(),
         Axis::SelfAxis => vec![ctx],
-    }
-}
-
-fn test_matches(doc: &Document, test: &NodeTest, n: NodeId) -> bool {
-    match test {
-        NodeTest::Name(name) => matches!(doc.kind(n), NodeKind::Element(sym)
-            if doc.symbols().name(sym) == name.as_ref()),
-        NodeTest::Wildcard => doc.is_element(n),
-        NodeTest::Text => matches!(doc.kind(n), NodeKind::Text),
-        NodeTest::Attribute(_) => false, // handled inside predicates only
     }
 }
 
@@ -189,10 +189,6 @@ pub fn eval_str(doc: &Document, path: &str) -> Result<Vec<NodeId>, blossom_xpath
     let parsed = blossom_xpath::parse_path(path)?;
     Ok(eval_path(doc, &parsed, &[]))
 }
-
-/// Keep `Literal` referenced for doc examples.
-#[allow(dead_code)]
-fn _literal_witness(_: &Literal) {}
 
 #[cfg(test)]
 mod tests {

@@ -44,7 +44,8 @@ pub struct OpCounters {
     pub scanned: u64,
     /// Elements galloped past *without examination* via
     /// `skip_to`/`skip_past`/`skip_to_end` or a range probe. Exactly 0
-    /// when `EngineOptions::skip_joins` is off.
+    /// when `EngineOptions::skip_joins` is off, except under the flat
+    /// probe semi-join, which has no linear form to switch to.
     pub skipped: u64,
     /// Stack/buffer pushes (the holistic joins' memory measure).
     pub pushes: u64,
@@ -146,7 +147,9 @@ impl Meter {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpTrace {
     /// Operator label (`"twigstack"`, `"nok-scan"`, `"pipelined-join"`,
-    /// …). Counters recorded under the same label merge.
+    /// `"03 anc-semijoin/merge"` …). Counters recorded under the same
+    /// label merge; flat operators carry their plan position, so each
+    /// keeps its own row.
     pub op: String,
     /// Merged counters.
     pub counters: OpCounters,

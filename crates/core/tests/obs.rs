@@ -14,7 +14,10 @@ fn engine(xml: &str, skip_joins: bool, trace: bool) -> Engine {
 
 /// With skip joins on, the gallop sites report skipped elements on
 /// skip-heavy inputs; with them off, `skipped` is exactly zero for every
-/// operator (the counter measures gallops only, never linear work).
+/// operator that has the switch (the counter measures gallops only,
+/// never linear work). The NestedList joins are reached through FLWORs:
+/// a path query's flat semi-joins ignore the switch — a probe always
+/// gallops, a merge never does.
 #[test]
 fn gallop_counters_follow_the_skip_joins_switch() {
     // Bounded NLJ: the inner NoK's range probe for each outer `a` region
@@ -30,14 +33,14 @@ fn gallop_counters_follow_the_skip_joins_switch() {
     // `a` region wholesale.
     let pl_xml = "<r><c/><c/><c/><a><c/></a></r>";
     let cases = [
-        (bnlj_xml, "//a//b", Strategy::BoundedNestedLoop),
+        (bnlj_xml, "for $b in //a//b return $b", Strategy::BoundedNestedLoop),
         (ts_xml, "//a//c", Strategy::TwigStack),
         (ps_xml, "//a//c", Strategy::PathStack),
-        (pl_xml, "//a[//c]", Strategy::Pipelined),
+        (pl_xml, "for $a in //a[//c] return $a", Strategy::Pipelined),
     ];
     for (xml, query, strategy) in cases {
         let with_skip = engine(xml, true, true);
-        let (nodes_skip, trace_skip) = with_skip.eval_path_traced(query, strategy).unwrap();
+        let (bytes_skip, trace_skip) = with_skip.eval_query_bytes(query, strategy).unwrap();
         assert!(
             trace_skip.totals().skipped > 0,
             "{strategy} on {query}: expected galloped elements, trace {:?}",
@@ -45,20 +48,30 @@ fn gallop_counters_follow_the_skip_joins_switch() {
         );
 
         let without_skip = engine(xml, false, true);
-        let (nodes_linear, trace_linear) =
-            without_skip.eval_path_traced(query, strategy).unwrap();
+        let (bytes_linear, trace_linear) =
+            without_skip.eval_query_bytes(query, strategy).unwrap();
         assert_eq!(
             trace_linear.totals().skipped,
             0,
             "{strategy} on {query}: skipped must be 0 with skip_joins off, trace {:?}",
             trace_linear.ops
         );
-        assert_eq!(nodes_skip, nodes_linear, "{strategy} on {query}");
+        assert_eq!(bytes_skip, bytes_linear, "{strategy} on {query}");
+    }
+
+    // The flat probe kernel on the same skip-heavy input.
+    for skip_joins in [true, false] {
+        let e = engine(bnlj_xml, skip_joins, true);
+        let (_, probe) = e.eval_path_traced("//a//b", Strategy::BoundedNestedLoop).unwrap();
+        assert!(probe.totals().skipped > 0, "{:?}", probe.ops);
+        let (_, merge) = e.eval_path_traced("//a//b", Strategy::Pipelined).unwrap();
+        assert_eq!(merge.totals().skipped, 0, "{:?}", merge.ops);
     }
 }
 
-/// The component-level Pipelined -> naive-NLJ downgrade on a
-/// non-descendant cut edge leaves a fallback event in the trace.
+/// A forced flat strategy on a non-descendant cut edge is rewritten to
+/// the NestedList bounded nested loop, and leaves a fallback event in the
+/// trace.
 #[test]
 fn pipelined_downgrade_records_a_fallback_event() {
     let e = engine("<r><a/><b/><b/></r>", true, true);
@@ -66,9 +79,9 @@ fn pipelined_downgrade_records_a_fallback_event() {
     assert_eq!(nodes.len(), 2);
     assert!(
         trace.fallbacks.iter().any(|f| {
-            f.from == Strategy::Pipelined && f.to == Strategy::NaiveNestedLoop
+            f.from == Strategy::Pipelined && f.to == Strategy::BoundedNestedLoop
         }),
-        "expected a Pipelined -> NaiveNestedLoop downgrade event, got {:?}",
+        "expected a Pipelined -> BoundedNestedLoop rewrite event, got {:?}",
         trace.fallbacks
     );
 }

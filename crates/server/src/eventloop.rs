@@ -31,7 +31,7 @@
 
 use crate::http::{parse_request_bytes, render_response, Parsed, Request};
 use crate::metrics::endpoint_index;
-use crate::sched::{BatchKey, Destination, Job, Member};
+use crate::sched::{Admission, BatchKey, Destination, Job, Member};
 use crate::server::{request_deadline, respond, Shared};
 use crate::span::{LogCtx, Outcome, RequestSpan, Stage};
 use crate::sys::{self, thread_cpu_us, Event, Interest, Poller, WakeReceiver, Waker};
@@ -544,17 +544,14 @@ impl IoThread {
 
         if let Some((key, entry)) = batchable(&request, &shared) {
             // Coalesced members are answered by the in-flight leader's
-            // evaluation; no queue slot consumed. A bounced member leads
-            // a fresh batch instead.
-            let member = match shared.batches.join(&key, member) {
-                Ok(()) => return,
-                Err(member) => member,
-            };
-            shared.batches.lead(key.clone(), member);
+            // evaluation; no queue slot consumed.
+            if shared.batches.join_or_lead(&key, member) == Admission::Joined {
+                return;
+            }
             let job = Job::BatchLeader { request, key: key.clone(), entry };
             if shared.sched.push(client, job).is_err() {
-                // Roll the batch back; anyone who joined between
-                // lead() and now is rejected with us.
+                // Roll the batch back; anyone who joined since we took
+                // the lead is rejected with us.
                 for m in shared.batches.take(&key) {
                     self.reject(m);
                 }

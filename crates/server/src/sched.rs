@@ -186,14 +186,24 @@ impl Sched {
     }
 }
 
+/// How [`Batches::join_or_lead`] admitted a member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Admission {
+    /// Added to an in-flight batch: its leader's evaluation answers it.
+    Joined,
+    /// Opened a fresh batch: the caller owes it an execution job (or a
+    /// roll-back through [`Batches::take`]).
+    Leader,
+}
+
 /// In-flight batches: key → members waiting on one evaluation.
 ///
-/// Lifecycle: the first request for a key calls [`Batches::lead`] and
-/// enqueues an execution job; concurrent identical requests
-/// [`Batches::join`] for free. When the leader's job starts evaluating
-/// it calls [`Batches::take`], fixing the member set — requests
-/// arriving after that start a fresh batch, so nobody waits on an
-/// evaluation that began with a shorter deadline than their own.
+/// Lifecycle: [`Batches::join_or_lead`] makes the first request for a
+/// key the batch's leader, which enqueues an execution job; concurrent
+/// identical requests join for free. When the leader's job starts
+/// evaluating it calls [`Batches::take`], fixing the member set —
+/// requests arriving after that start a fresh batch, so nobody waits on
+/// an evaluation that began with a shorter deadline than their own.
 #[derive(Default)]
 pub struct Batches {
     inner: Mutex<HashMap<BatchKey, Vec<Member>>>,
@@ -204,23 +214,23 @@ impl Batches {
         Batches::default()
     }
 
-    /// Join an in-flight batch; `Ok(())` iff one existed, otherwise the
-    /// member is handed back so the caller can lead a fresh batch
-    /// (members are move-only — they own their spans).
-    pub fn join(&self, key: &BatchKey, member: Member) -> Result<(), Member> {
-        match self.inner.lock().unwrap().get_mut(key) {
+    /// Join the in-flight batch for `key`, or open one with `member` as
+    /// its leader. One critical section: I/O threads dispatching the same
+    /// query at the same instant must not both see "no batch" and both
+    /// lead — the second registration would replace the first leader's,
+    /// whose connection then waits for a response nobody owes it.
+    pub fn join_or_lead(&self, key: &BatchKey, member: Member) -> Admission {
+        let mut inner = self.inner.lock().unwrap();
+        match inner.get_mut(key) {
             Some(members) => {
                 members.push(member);
-                Ok(())
+                Admission::Joined
             }
-            None => Err(member),
+            None => {
+                inner.insert(key.clone(), vec![member]);
+                Admission::Leader
+            }
         }
-    }
-
-    /// Register a fresh batch with its leader as the first member.
-    pub fn lead(&self, key: BatchKey, leader: Member) {
-        let prev = self.inner.lock().unwrap().insert(key, vec![leader]);
-        debug_assert!(prev.is_none(), "lead() over an in-flight batch");
     }
 
     /// Claim the batch: every member registered so far, in join order
@@ -316,25 +326,76 @@ mod tests {
         assert_eq!(t.join().unwrap().as_deref(), Some("/woke"));
     }
 
+    fn key() -> BatchKey {
+        BatchKey { doc_uid: 1, query: "//a".into(), strategy: "auto".into(), threads: 1 }
+    }
+
     #[test]
     fn batches_join_only_between_lead_and_take() {
         let batches = Batches::new();
-        let key = BatchKey {
-            doc_uid: 1,
-            query: "//a".into(),
-            strategy: "auto".into(),
-            threads: 1,
-        };
-        let bounced = batches.join(&key, member(1));
-        assert!(bounced.is_err(), "nothing to join before lead()");
-        batches.lead(key.clone(), bounced.unwrap_err());
-        assert!(batches.join(&key, member(2)).is_ok());
-        assert!(batches.join(&key, member(3)).is_ok());
+        let key = key();
+        assert_eq!(batches.join_or_lead(&key, member(1)), Admission::Leader);
+        assert_eq!(batches.join_or_lead(&key, member(2)), Admission::Joined);
+        assert_eq!(batches.join_or_lead(&key, member(3)), Admission::Joined);
         let members = batches.take(&key);
         assert_eq!(members.len(), 3);
         assert_eq!(members[0].dest.seq, 1, "leader first");
         // The window closed: later identical requests start fresh.
-        assert!(batches.join(&key, member(4)).is_err());
         assert!(batches.take(&key).is_empty());
+        assert_eq!(batches.join_or_lead(&key, member(4)), Admission::Leader);
+    }
+
+    /// Two I/O threads dispatching the same query at the same instant:
+    /// every member ends up in exactly one `take`. With join and lead as
+    /// two lock acquisitions both threads could lead, and the second
+    /// registration dropped the first leader (a `debug_assert!` caught it
+    /// only in debug builds; in release the connection hung).
+    #[test]
+    fn racing_join_or_lead_accounts_for_every_member() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const ROUNDS: u64 = 10_000;
+        let batches = Batches::new();
+        // A spinning rendezvous: both racers leave it within nanoseconds
+        // of each other, which a futex-backed `Barrier` wake-up does not
+        // give (the window being raced is two lock acquisitions wide).
+        let arrived = AtomicU64::new(0);
+        let rendezvous = |target: u64| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let mut spins = 0u32;
+            while arrived.load(Ordering::SeqCst) < target {
+                spins += 1;
+                if spins % 1024 == 0 {
+                    std::thread::yield_now(); // a single core must not spin out its quantum
+                } else {
+                    std::hint::spin_loop();
+                }
+            }
+        };
+        let taken: Vec<Vec<u64>> = std::thread::scope(|scope| {
+            let racers: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (batches, rendezvous) = (&batches, &rendezvous);
+                    scope.spawn(move || {
+                        let key = key();
+                        let mut mine = Vec::new();
+                        for round in 0..ROUNDS {
+                            rendezvous(4 * round + 2);
+                            if batches.join_or_lead(&key, member(2 * round + t))
+                                == Admission::Leader
+                            {
+                                mine.extend(batches.take(&key).iter().map(|m| m.dest.seq));
+                            }
+                            // Both racers are through before the next round.
+                            rendezvous(4 * round + 4);
+                        }
+                        mine
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().expect("racer panicked")).collect()
+        });
+        let mut seqs: Vec<u64> = taken.into_iter().flatten().collect();
+        seqs.sort_unstable();
+        assert_eq!(seqs, (0..2 * ROUNDS).collect::<Vec<_>>());
     }
 }

@@ -34,6 +34,29 @@ static EMPTY: PostingList = PostingList {
     block_max_end: Col::Owned(Vec::new()),
 };
 
+/// Gallop over a document-ordered id slice from position `from` to the
+/// first position whose id is `>= target`. Exponential probe then binary
+/// search, so the cost is logarithmic in the distance advanced; when the
+/// cursor is already in place it is a single compare. Shared by
+/// [`PostingList::skip_to`] and the operators that probe intermediate
+/// (non-posting) id lists.
+#[inline]
+pub fn gallop(s: &[NodeId], from: usize, target: u32) -> usize {
+    let n = s.len();
+    if from >= n || s[from].0 >= target {
+        return from;
+    }
+    // s[from] < target: double the probe distance until it lands at
+    // or beyond the boundary, then binary-search the last window.
+    let mut step = 1usize;
+    while from + step < n && s[from + step].0 < target {
+        step <<= 1;
+    }
+    let lo = from + (step >> 1);
+    let hi = (from + step + 1).min(n);
+    lo + s[lo..hi].partition_point(|&x| x.0 < target)
+}
+
 /// A document-ordered stream of elements with inline region labels and
 /// sub-linear skip primitives. Like [`Document`] columns, the parallel
 /// arrays are [`Col`]s: heap-owned when built from a document, zero-copy
@@ -197,25 +220,10 @@ impl PostingList {
     }
 
     /// Gallop from position `from` to the first posting whose id (region
-    /// `start`) is `>= target`. Exponential probe then binary search, so
-    /// the cost is logarithmic in the distance advanced; when the cursor
-    /// is already in place it is a single compare.
+    /// `start`) is `>= target` (see [`gallop`]).
     #[inline]
     pub fn skip_to(&self, from: usize, target: u32) -> usize {
-        let s = &self.starts;
-        let n = s.len();
-        if from >= n || s[from].0 >= target {
-            return from;
-        }
-        // s[from] < target: double the probe distance until it lands at
-        // or beyond the boundary, then binary-search the last window.
-        let mut step = 1usize;
-        while from + step < n && s[from + step].0 < target {
-            step <<= 1;
-        }
-        let lo = from + (step >> 1);
-        let hi = (from + step + 1).min(n);
-        lo + s[lo..hi].partition_point(|&x| x.0 < target)
+        gallop(&self.starts, from, target)
     }
 
     /// Gallop to the first posting whose id is **strictly greater** than

@@ -46,7 +46,7 @@ pub mod writer;
 pub use colsrc::{Col, ColElem, Mapping, TextStore};
 pub use dewey::Dewey;
 pub use document::{ColumnParts, Document, NodeId, NodeKind, ParseOptions, TreeBuilder};
-pub use index::{PostingList, TagIndex};
+pub use index::{gallop, PostingList, TagIndex};
 pub use label::Region;
 pub use mutate::{Mutation, Splice};
 pub use navigate::Axis;

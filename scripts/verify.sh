@@ -307,9 +307,11 @@ done
 
 # A document whose decoy tags evict the rare anchor `x` from the
 # tracked frequent-tag set: the cost model underestimates `//x//c`, the
-# adaptive work budget trips mid-query, and the engine re-plans onto
-# the runner-up strategy. The profile must show both the re-planned
-# estimate row and the recorded re-plan fallback event.
+# FLWOR component's adaptive work budget trips mid-query, and the engine
+# re-plans onto the runner-up strategy. The profile must show both the
+# re-planned estimate row and the recorded re-plan fallback event. (A
+# bare path query arms no budget: its flat operators do work linear in
+# their posting lists.)
 REPLAN_DOC=target/replan-smoke.xml
 REPLAN_JSON=target/replan-profile.json
 {
@@ -324,8 +326,8 @@ REPLAN_JSON=target/replan-profile.json
     done
     printf '</r>'
 } > "${REPLAN_DOC}"
-cargo run --release -q --bin blossom -- query "${REPLAN_DOC}" '//x//c' \
-    --profile-json "${REPLAN_JSON}" > /dev/null
+cargo run --release -q --bin blossom -- query "${REPLAN_DOC}" \
+    'for $c in //x//c return $c' --profile-json "${REPLAN_JSON}" > /dev/null
 grep -q '"replanned": true' "${REPLAN_JSON}" \
     || { echo "re-plan did not fire on the underestimate document"; exit 1; }
 grep -q 're-plan' "${REPLAN_JSON}" \
@@ -341,7 +343,7 @@ mkdir -p "${REPLAN_FIXTURE_DIR}"
     printf '# cost-model underestimate: decoy tags evict `x` from the tracked\n'
     printf '# frequent-tag set, the adaptive budget trips and the component\n'
     printf '# re-plans mid-query; the traced third run must account for it\n'
-    printf 'query: //x//c\n'
+    printf 'query: for $c in //x//c return $c\n'
     printf 'xml: '
     cat "${REPLAN_DOC}"
     printf '\n'

@@ -202,10 +202,11 @@ fn run(args: &[String]) -> Result<String, String> {
             let file = arg(args, 1)?;
             let query = arg(args, 2)?;
             let engine = load_engine(file, EngineOptions::default())?;
-            // Path queries get the planner's one-liner; FLWOR queries get
-            // the full BlossomTree + decomposition report.
+            // Path queries get the planner's verdict and the flat
+            // pipeline's operator list; FLWOR queries get the full
+            // BlossomTree + decomposition report.
             if let Ok(plan) = engine.explain_path(query) {
-                return Ok(format!("strategy: {}\nreason:   {}", plan.strategy, plan.reason));
+                return Ok(plan.to_string());
             }
             engine.explain_query(query).map_err(|e| e.to_string())
         }

@@ -69,3 +69,57 @@ fn random_queries_agree_across_strategies() {
         }
     }
 }
+
+/// The planner is pinned on Table 3: every cell resolves to the flat NoK
+/// pipeline and runs it as planned — no fallback event, no plan rewrite.
+/// None of the 30 cells is an exception: every cut edge in Table 3 is a
+/// `//`-join, and measured at 1k, 10k and 100k nodes per document the
+/// flat operators beat the navigational walk on all 30 (by 1.5x on
+/// d4.Q3, the closest, up to three orders of magnitude on d2.Q2), and
+/// TwigStack and PathStack on every cell they can evaluate
+/// (EXPERIMENTS.md, "Planner calibration"). The path shape `Auto` does
+/// send to the walk — a `following`/`preceding` cut — is not in Table 3;
+/// `tests/flat_pipeline.rs` pins it.
+#[test]
+fn auto_runs_the_flat_pipeline_on_all_thirty_cells() {
+    use blossomtree::core::EngineOptions;
+    for ds in Dataset::all() {
+        let engine = Engine::with_options(
+            generate(ds, 12_000, 2024),
+            EngineOptions { trace: true, ..EngineOptions::default() },
+        );
+        for q in queries(ds) {
+            let cell = format!("{} {} ({})", ds.name(), q.id, q.path);
+            let (_, trace) = engine.eval_path_traced(q.path, Strategy::Auto).unwrap();
+            assert_eq!(trace.resolved, Strategy::Pipelined, "{cell}: {}", trace.plan_reason);
+            assert_eq!(trace.executed, trace.resolved, "{cell}");
+            assert!(trace.fallbacks.is_empty(), "{cell}: {:?}", trace.fallbacks);
+            assert!(trace.totals().scanned > 0, "{cell}: {:?}", trace.ops);
+
+            // EXPLAIN names the operators with the exact posting lengths
+            // they read and an estimated output length; EXPLAIN ANALYZE
+            // reports the actual length at the same position (a semi-join's
+            // kernel suffix is the estimate's there, the input's here).
+            let plan = engine.explain_path(q.path).unwrap();
+            assert_eq!(plan.strategy, Strategy::Pipelined, "{cell}");
+            let text = plan.to_string();
+            assert!(text.contains("operators:"), "{cell}: {text}");
+            assert!(!plan.operators.is_empty(), "{cell}");
+            for (line, op) in plan.operators.iter().zip(&trace.ops) {
+                let label = op.op.split('/').next().unwrap();
+                assert!(line.trim_start().starts_with(label), "{cell}: {line:?} vs {:?}", op.op);
+                assert!(line.contains("postings "), "{cell}: {line}");
+                assert!(line.contains("est. out "), "{cell}: {line}");
+            }
+            let kinds = ["scan", "semijoin/merge", "semijoin/probe", "nok-match", "bindings"];
+            assert!(
+                plan.operators.iter().all(|l| kinds.iter().any(|k| l.contains(k))),
+                "{cell}: {text}"
+            );
+            // A cell whose result is not empty ran the whole plan.
+            if trace.ops.last().is_some_and(|op| op.counters.output > 0) {
+                assert_eq!(trace.ops.len(), plan.operators.len(), "{cell}");
+            }
+        }
+    }
+}
