@@ -14,10 +14,9 @@
 //!   tags, an independence assumption (`|a|·|d| / N`) for the long
 //!   tail.
 //!
-//! Costs are in abstract *elements touched* — the same unit the
-//! operators charge against a [`crate::budget::WorkBudget`] — so an
-//! estimate and its observed counterpart are directly comparable, which
-//! is what makes mid-query re-planning a single threshold test.
+//! Costs are in abstract *elements touched* — the unit the operators'
+//! `scanned` counters report — so an estimate and its observed
+//! counterpart are directly comparable in `EXPLAIN ANALYZE`.
 
 use crate::decompose::{CutEdge, Decomposition, NokTree};
 use blossom_xml::fxhash::FxHashSet;

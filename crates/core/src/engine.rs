@@ -12,14 +12,15 @@
 //!   into NoKs, match NoKs, reassemble with structural joins, apply
 //!   crossing-edge joins, extract tuples, construct results. A path
 //!   query has one returning node, so its pipeline runs projected onto
-//!   flat node lists ([`crate::flat`]); FLWORs and the naive nested loop
-//!   build NestedLists.
+//!   flat node lists ([`crate::flat`]); under `Auto` a FLWOR runs on flat
+//!   binding tables ([`crate::flwor`]); the forced FLWOR strategies and
+//!   the naive nested loop build NestedLists.
 
-use crate::budget::WorkBudget;
 use crate::decompose::{CutEdge, Decomposition};
 use crate::env::{self, EnvError, Tuple};
 use crate::exec::Executor;
 use crate::flat::{FlatPlan, Kernel};
+use crate::flwor::FlworPlan;
 use crate::join::nested_loop::{bounded_nlj, naive_nlj};
 use crate::join::pipelined::{PipelinedJoin, StreamItem};
 use crate::join::twigstack::{TwigError, TwigMatcher};
@@ -111,7 +112,7 @@ type NaiveEnv = Vec<(String, Vec<NodeId>)>;
 /// lengths — so entries are keyed by [`Document::uid`] as well (see
 /// [`Engine::plan_key`]), and one shared cache still safely serves
 /// engines over different documents.
-struct CachedPlan {
+struct PathPlan {
     path: PathExpr,
     bt: BlossomTree,
     decomposition: Decomposition,
@@ -125,6 +126,21 @@ struct CachedPlan {
     /// outside the flat pipeline (forced onto it, those run the NestedList
     /// pipeline as a recorded plan rewrite).
     flat: Result<FlatPlan, String>,
+}
+
+/// A compiled query holding FLWORs: the parsed expression and, in the
+/// order [`Engine::construct_expr`] meets them, each FLWOR's flat plan —
+/// `Err` says why it is outside the flat algebra (under `Auto` it then
+/// runs the NestedList pipeline as a recorded fallback).
+struct QueryPlan {
+    expr: Expr,
+    flwors: Vec<Result<FlworPlan, String>>,
+}
+
+/// One plan-cache entry, keyed `"{uid}#{query text}"`.
+enum CachedPlan {
+    Path(Box<PathPlan>),
+    Query(QueryPlan),
 }
 
 /// Tuning knobs for an [`Engine`].
@@ -161,20 +177,14 @@ pub struct EngineOptions {
     /// strategy on one — the request is over.
     pub deadline: Option<Instant>,
     /// Resolve `Auto` with the selectivity-driven cost model
-    /// ([`crate::cost`]): per-component strategy choices for a FLWOR,
-    /// overriding the structural rules only on a decisive estimated gap,
-    /// and the estimated-vs-actual ledger of every trace. `false` falls
-    /// back to the structural rules alone (which is all a path query's
-    /// strategy ever depends on). Results are byte-identical either way —
-    /// only the physical plan changes.
+    /// ([`crate::cost`]): per-component strategy choices for a FLWOR that
+    /// falls back to the NestedList pipeline, overriding the structural
+    /// rules only on a decisive estimated gap, and the estimated-vs-actual
+    /// ledger of every path trace. `false` falls back to the structural
+    /// rules alone (which is all a path query's strategy ever depends
+    /// on). Results are byte-identical either way — only the physical
+    /// plan changes.
     pub cost_based_planner: bool,
-    /// Adaptive re-planning head-room: a FLWOR component may spend up to
-    /// `estimated cost × replan_factor` work units before the engine
-    /// aborts it and re-enters with the runner-up strategy (recorded as a
-    /// fallback event). `0` disables mid-query re-planning. Only
-    /// meaningful with [`EngineOptions::cost_based_planner`]; results are
-    /// byte-identical at any value.
-    pub replan_factor: u32,
 }
 
 impl Default for EngineOptions {
@@ -186,7 +196,6 @@ impl Default for EngineOptions {
             trace: false,
             deadline: None,
             cost_based_planner: true,
-            replan_factor: 4,
         }
     }
 }
@@ -240,6 +249,24 @@ impl PlanCache {
                 None
             }
         }
+    }
+
+    /// [`PlanCache::get`] for a full query's text: only an entry holding
+    /// a compiled query counts as a hit, and nothing counts as a miss — a
+    /// path or constructor query goes on to the lookup that plans it
+    /// (see [`PlanCache::insert_query`]).
+    fn get_query(&mut self, query: &str) -> Option<Arc<CachedPlan>> {
+        match self.map.get(query) {
+            Some((plan, _)) if matches!(**plan, CachedPlan::Query(_)) => self.get(query),
+            _ => None,
+        }
+    }
+
+    /// Cache a freshly compiled query: the miss [`PlanCache::get_query`]
+    /// did not count.
+    fn insert_query(&mut self, query: String, plan: Arc<CachedPlan>) {
+        self.misses += 1;
+        self.insert(query, plan)
     }
 
     fn insert(&mut self, query: String, plan: Arc<CachedPlan>) {
@@ -316,6 +343,14 @@ impl SharedPlanCache {
     fn insert(&self, query: String, plan: Arc<CachedPlan>) {
         self.inner.lock().unwrap().insert(query, plan)
     }
+
+    fn get_query(&self, query: &str) -> Option<Arc<CachedPlan>> {
+        self.inner.lock().unwrap().get_query(query)
+    }
+
+    fn insert_query(&self, query: String, plan: Arc<CachedPlan>) {
+        self.inner.lock().unwrap().insert_query(query, plan)
+    }
 }
 
 /// A loaded document plus its access paths.
@@ -345,8 +380,6 @@ pub struct Engine {
     deadline: Option<Instant>,
     /// [`EngineOptions::cost_based_planner`].
     cost_based: bool,
-    /// [`EngineOptions::replan_factor`].
-    replan_factor: u32,
 }
 
 impl Engine {
@@ -394,7 +427,6 @@ impl Engine {
             trace: options.trace,
             deadline: options.deadline,
             cost_based: options.cost_based_planner,
-            replan_factor: options.replan_factor,
         }
     }
 
@@ -453,18 +485,6 @@ impl Engine {
     /// so entries from engines over *other* documents must never alias.
     fn plan_key(&self, query: &str) -> String {
         format!("{}#{query}", self.doc.uid())
-    }
-
-    /// A fresh work budget for a run whose cost the planner estimated at
-    /// `est_cost`, or `None` when adaptive re-planning is off.
-    fn make_budget(&self, est_cost: u64) -> Option<Arc<WorkBudget>> {
-        if self.cost_based && self.replan_factor > 0 && est_cost > 0 {
-            Some(Arc::new(WorkBudget::new(
-                est_cost.saturating_mul(self.replan_factor as u64),
-            )))
-        } else {
-            None
-        }
     }
 
     /// Navigational evaluation with counters recorded when tracing.
@@ -581,15 +601,15 @@ impl Engine {
             }),
             _ => None,
         };
+        let flat = flwor.as_ref().map(|f| FlworPlan::compile(f, &self.doc, &self.stats));
         let bt = match &flwor {
             Some(f) => match BlossomTree::from_flwor(f) {
                 Ok(bt) => bt,
                 Err(BlossomError::Unsupported(what)) => {
-                    return Ok(format!(
-                        "plan: naive per-iteration evaluation
-reason: {what}
-"
-                    ))
+                    return Ok(match flat {
+                        Some(Ok(plan)) => format!("flat plan (auto):\n{plan}"),
+                        _ => format!("plan: naive per-iteration evaluation\nreason: {what}\n"),
+                    })
                 }
                 Err(e) => return Err(e.into()),
             },
@@ -651,6 +671,15 @@ reason: {what}
         }
         let _ = writeln!(out, "strategy: {strategy}");
         let _ = writeln!(out, "reason: {reason}");
+        match flat {
+            Some(Ok(plan)) => {
+                let _ = write!(out, "flat plan (auto):\n{plan}");
+            }
+            Some(Err(why)) => {
+                let _ = writeln!(out, "flat plan: none ({why}); auto runs the strategy above");
+            }
+            None => {}
+        }
         Ok(out)
     }
 
@@ -677,8 +706,8 @@ reason: {what}
         let t = Instant::now();
         let cached = self.plans.get(&self.plan_key(query));
         phases.cache_lookup = t.elapsed();
-        if let Some(plan) = cached {
-            return self.eval_path_planned(&plan, strategy, phases);
+        if let Some(CachedPlan::Path(plan)) = cached.as_deref() {
+            return self.eval_path_planned(plan, strategy, phases);
         }
         let t = Instant::now();
         let path = blossom_xpath::parse_path(query)?;
@@ -701,10 +730,11 @@ reason: {what}
         let t = Instant::now();
         match self.compile_path(path) {
             Ok(plan) => {
-                let plan = Arc::new(plan);
+                let plan = Arc::new(CachedPlan::Path(Box::new(plan)));
                 self.plans.insert(self.plan_key(query), plan.clone());
                 phases.plan = t.elapsed();
-                self.eval_path_planned(&plan, strategy, phases)
+                let CachedPlan::Path(plan) = &*plan else { unreachable!("just built") };
+                self.eval_path_planned(plan, strategy, phases)
             }
             // No plan to cache.
             Err(e) => {
@@ -718,12 +748,12 @@ reason: {what}
     /// Plan a path query against this document: BlossomTree,
     /// decomposition, cost-based `Auto` resolution and the flat operator
     /// plan. `Err` means the path is outside the pattern algebra.
-    fn compile_path(&self, path: &PathExpr) -> Result<CachedPlan, EngineError> {
+    fn compile_path(&self, path: &PathExpr) -> Result<PathPlan, EngineError> {
         let bt = BlossomTree::from_path(path)?;
         let decomposition = Decomposition::decompose(&bt);
         let cost_plan = plan::choose(path, &decomposition, &self.stats);
         let flat = FlatPlan::compile(&decomposition, bt.returning[0], &self.doc, &self.stats);
-        Ok(CachedPlan { path: path.clone(), bt, decomposition, cost_plan, flat })
+        Ok(PathPlan { path: path.clone(), bt, decomposition, cost_plan, flat })
     }
 
     /// A path outside the pattern algebra (positional predicates, `or`,
@@ -762,8 +792,8 @@ reason: {what}
         let key = path.to_string();
         let mut phases = PhaseTimings::default();
         let cached = self.plans.get(&self.plan_key(&key));
-        if let Some(plan) = cached {
-            return self.eval_path_planned(&plan, strategy, &mut phases);
+        if let Some(CachedPlan::Path(plan)) = cached.as_deref() {
+            return self.eval_path_planned(plan, strategy, &mut phases);
         }
         self.eval_path_parsed_cached(path, &key, strategy, &mut phases)
     }
@@ -795,13 +825,54 @@ reason: {what}
     ) -> Result<(Document, QueryTrace), EngineError> {
         self.obs.reset();
         let mut phases = PhaseTimings::default();
-        let t = Instant::now();
-        let expr = blossom_flwor::parse_query(query)?;
-        phases.parse = t.elapsed();
-        let t = Instant::now();
-        let doc = self.eval_expr_to_doc(&expr, strategy)?;
-        phases.matching = t.elapsed();
+        let doc = self.eval_query_timed(query, strategy, &mut phases)?;
         Ok((doc, self.finish_trace(query, strategy, phases)))
+    }
+
+    /// Evaluate a full query through the plan cache. A query holding a
+    /// FLWOR is cached whole — parsed expression plus one compiled
+    /// [`FlworPlan`] per FLWOR — under its text, so a repeated evaluation
+    /// skips parsing and compiling; other queries are parsed here and
+    /// their paths use the path plans.
+    fn eval_query_timed(
+        &self,
+        query: &str,
+        strategy: Strategy,
+        phases: &mut PhaseTimings,
+    ) -> Result<Document, EngineError> {
+        let t = Instant::now();
+        let cached = self.plans.get_query(&self.plan_key(query));
+        phases.cache_lookup = t.elapsed();
+        let plan = match cached {
+            Some(plan) => plan,
+            None => {
+                let t = Instant::now();
+                let expr = blossom_flwor::parse_query(query)?;
+                phases.parse = t.elapsed();
+                let mut flwors = Vec::new();
+                collect_flwors(&expr, &mut flwors);
+                if flwors.is_empty() {
+                    let t = Instant::now();
+                    let doc = self.eval_expr_to_doc(&expr, strategy, &mut [].iter());
+                    phases.matching = t.elapsed();
+                    return doc;
+                }
+                let t = Instant::now();
+                let flwors = flwors
+                    .into_iter()
+                    .map(|f| FlworPlan::compile(f, &self.doc, &self.stats))
+                    .collect();
+                let plan = Arc::new(CachedPlan::Query(QueryPlan { expr, flwors }));
+                self.plans.insert_query(self.plan_key(query), plan.clone());
+                phases.plan = t.elapsed();
+                plan
+            }
+        };
+        let CachedPlan::Query(q) = &*plan else { unreachable!("get_query returns queries") };
+        let t = Instant::now();
+        let doc = self.eval_expr_to_doc(&q.expr, strategy, &mut q.flwors.iter());
+        phases.matching = t.elapsed();
+        doc
     }
 
     /// Assemble the [`QueryTrace`] from whatever the sink collected.
@@ -872,7 +943,7 @@ reason: {what}
     /// Evaluate with a prebuilt plan.
     fn eval_path_planned(
         &self,
-        cached: &CachedPlan,
+        cached: &PathPlan,
         strategy: Strategy,
         phases: &mut PhaseTimings,
     ) -> Result<Vec<NodeId>, EngineError> {
@@ -993,7 +1064,7 @@ reason: {what}
     /// they were projected from.
     fn eval_path_nested(
         &self,
-        cached: &CachedPlan,
+        cached: &PathPlan,
         joins: Strategy,
         phases: &mut PhaseTimings,
     ) -> Result<(Vec<NodeId>, u64), EngineError> {
@@ -1098,14 +1169,19 @@ reason: {what}
         query: &str,
         strategy: Strategy,
     ) -> Result<Document, EngineError> {
-        let expr = blossom_flwor::parse_query(query)?;
-        self.eval_expr_to_doc(&expr, strategy)
+        self.eval_query_timed(query, strategy, &mut PhaseTimings::default())
     }
 
     /// Evaluate a parsed top-level expression into a result document
     /// (shared tail of [`Engine::eval_query_str`] and
-    /// [`Engine::eval_query_traced`]).
-    fn eval_expr_to_doc(&self, expr: &Expr, strategy: Strategy) -> Result<Document, EngineError> {
+    /// [`Engine::eval_query_traced`]). `flwors` yields the expression's
+    /// FLWOR plans in the order [`collect_flwors`] listed them.
+    fn eval_expr_to_doc(
+        &self,
+        expr: &Expr,
+        strategy: Strategy,
+        flwors: &mut std::slice::Iter<'_, Result<FlworPlan, String>>,
+    ) -> Result<Document, EngineError> {
         let mut builder = Document::builder();
         match &expr {
             Expr::Constructor(_) | Expr::Flwor(_) => {
@@ -1113,7 +1189,7 @@ reason: {what}
                 if needs_wrapper {
                     builder.start_element("result");
                 }
-                self.construct_expr(&mut builder, &expr, strategy)?;
+                self.construct_expr(&mut builder, expr, strategy, flwors)?;
                 if needs_wrapper {
                     builder.end_element();
                 }
@@ -1139,6 +1215,7 @@ reason: {what}
         builder: &mut blossom_xml::TreeBuilder,
         expr: &Expr,
         strategy: Strategy,
+        flwors: &mut std::slice::Iter<'_, Result<FlworPlan, String>>,
     ) -> Result<(), EngineError> {
         match expr {
             Expr::Text(t) => {
@@ -1147,7 +1224,7 @@ reason: {what}
             }
             Expr::Sequence(items) => {
                 for item in items {
-                    self.construct_expr(builder, item, strategy)?;
+                    self.construct_expr(builder, item, strategy, flwors)?;
                 }
                 Ok(())
             }
@@ -1157,7 +1234,7 @@ reason: {what}
                     builder.attribute(k, v);
                 }
                 for child in &c.children {
-                    self.construct_expr(builder, child, strategy)?;
+                    self.construct_expr(builder, child, strategy, flwors)?;
                 }
                 builder.end_element();
                 Ok(())
@@ -1168,11 +1245,53 @@ reason: {what}
                 }
                 Ok(())
             }
-            Expr::Flwor(f) => self.eval_flwor_into(builder, f, strategy),
+            Expr::Flwor(f) => {
+                let plan = flwors.next().expect("one plan per FLWOR, in traversal order");
+                match (strategy, plan) {
+                    (Strategy::Auto, Ok(plan)) => self.eval_flwor_flat(builder, plan),
+                    (Strategy::Auto, Err(why)) => {
+                        if let Some(sink) = self.sink() {
+                            sink.record_plan(PlanDecision {
+                                requested: Strategy::Auto,
+                                resolved: Strategy::Pipelined,
+                                reason: "flat FLWOR plan".into(),
+                                twigstack_compatible: None,
+                            });
+                            sink.record_fallback(
+                                Strategy::Pipelined,
+                                Strategy::BoundedNestedLoop,
+                                format!("outside the flat FLWOR algebra: {why}"),
+                            );
+                        }
+                        self.eval_flwor_into(builder, f, strategy)
+                    }
+                    _ => self.eval_flwor_into(builder, f, strategy),
+                }
+            }
         }
     }
 
-    /// Evaluate a FLWOR and append each tuple's constructed result.
+    /// Evaluate a FLWOR's flat plan ([`crate::flwor`]), appending each
+    /// tuple's constructed result.
+    fn eval_flwor_flat(
+        &self,
+        builder: &mut blossom_xml::TreeBuilder,
+        plan: &FlworPlan,
+    ) -> Result<(), EngineError> {
+        if let Some(sink) = self.sink() {
+            sink.record_plan(PlanDecision {
+                requested: Strategy::Auto,
+                resolved: Strategy::Pipelined,
+                reason: "flat FLWOR plan: binding tables, hash/order joins".into(),
+                twigstack_compatible: None,
+            });
+            sink.record_executed(Strategy::Pipelined);
+        }
+        plan.run(&self.doc, &self.index, builder, self.sink(), &|| self.check_deadline())
+    }
+
+    /// Evaluate a FLWOR with the NestedList pipeline (or, navigationally,
+    /// with nested loops) and append each tuple's constructed result.
     fn eval_flwor_into(
         &self,
         builder: &mut blossom_xml::TreeBuilder,
@@ -1330,6 +1449,24 @@ reason: {what}
             sink.record_op("flwor-tuples", c);
         }
         let mut tuples: Vec<Tuple> = per_worker.into_iter().flatten().collect();
+        // Joins and products combine components group by group, which is
+        // not always the `for` nesting order (three components with a
+        // predicate between the outer two, or a component's `for`
+        // variables interleaved with another's). Nesting order is the
+        // bound nodes compared binding by binding.
+        let for_shapes: Vec<ShapeId> = flwor
+            .bindings
+            .iter()
+            .filter(|b| b.kind == blossom_flwor::BindingKind::For)
+            .filter_map(|b| d.shape.by_var(&b.var))
+            .collect();
+        tuples.sort_by(|x, y| {
+            for_shapes
+                .iter()
+                .map(|&s| x.get(s).first().cmp(&y.get(s).first()))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
         if !bt.order_by.is_empty() {
             let keys: Vec<(ShapeId, blossom_flwor::SortOrder)> = bt
                 .order_by
@@ -1390,9 +1527,8 @@ reason: {what}
     ///
     /// `cplans` (cost-based `Auto` resolutions only) carries one
     /// [`ComponentPlan`] per component: each component runs its own
-    /// strategy (overriding `strategy`), under an adaptive work budget
-    /// when a runner-up exists, and its estimated-vs-actual cardinalities
-    /// are recorded as the trace's estimate rows.
+    /// strategy (overriding `strategy`), and its estimated-vs-actual
+    /// cardinalities are recorded as the trace's estimate rows.
     fn eval_decomposition(
         &self,
         d: &Decomposition,
@@ -1405,20 +1541,10 @@ reason: {what}
         // Defensive: per-component dispatch needs exactly one plan per
         // component; anything else degrades to uniform dispatch.
         let cplans = cplans.filter(|c| c.len() == d.roots.len());
-        // Adaptive budgets: armed only where a runner-up strategy exists
-        // to re-plan to — a tripped budget always discards its (possibly
-        // truncated) component run.
-        let budgets: Vec<Option<Arc<WorkBudget>>> = (0..d.roots.len())
-            .map(|ci| match cplans.map(|c| &c[ci]) {
-                Some(cp) if cp.runner_up.is_some() => self.make_budget(cp.est_cost),
-                _ => None,
-            })
-            .collect();
         let matchers: Vec<NokMatcher<'_>> = d
             .noks
             .iter()
-            .enumerate()
-            .map(|(ni, nok)| {
+            .map(|nok| {
                 NokMatcher::with_skip(
                     &self.doc,
                     nok,
@@ -1427,7 +1553,6 @@ reason: {what}
                     self.skip_joins,
                 )
                 .with_trace_sink(self.sink())
-                .with_budget(budgets[comp_of[ni]].clone())
             })
             .collect();
 
@@ -1447,7 +1572,6 @@ reason: {what}
                                 .filter(|c| comp_of[c.child_nok] == ci)
                                 .collect();
                             let matchers = &matchers;
-                            let budgets = &budgets;
                             scope.spawn(move || {
                                 self.eval_component(
                                     d,
@@ -1455,9 +1579,7 @@ reason: {what}
                                     root_nok,
                                     root_axis,
                                     &cuts,
-                                    strategy,
-                                    cplans.map(|c| &c[ci]),
-                                    budgets[ci].as_ref(),
+                                    cplans.map_or(strategy, |c| c[ci].strategy),
                                 )
                             })
                         })
@@ -1483,9 +1605,7 @@ reason: {what}
                             root_nok,
                             root_axis,
                             &cuts,
-                            strategy,
-                            cplans.map(|c| &c[ci]),
-                            budgets[ci].as_ref(),
+                            cplans.map_or(strategy, |c| c[ci].strategy),
                         )
                     })
                     .collect()
@@ -1512,9 +1632,7 @@ reason: {what}
                         est_output: cp.est_output,
                         est_cost: cp.est_cost,
                         actual_output: Some(actual),
-                        replanned: budgets[cp.component]
-                            .as_ref()
-                            .is_some_and(|b| b.tripped()),
+                        replanned: false,
                     })
                     .collect(),
             );
@@ -1580,17 +1698,17 @@ reason: {what}
                     );
                 }
             } else {
-                // Join the two groups on every predicate between them.
-                let preds: Vec<CrossPred> = drain_matching(&mut pending, |(l, r, _)| {
+                // Join the two groups on every predicate between them,
+                // each operand projected from the group owning it.
+                let between = drain_matching(&mut pending, |(l, r, _)| {
                     let (sl, sr) = (&groups[li].0, &groups[ri].0);
                     (sl.contains(l) && sr.contains(r)) || (sr.contains(l) && sl.contains(r))
-                })
-                .into_iter()
-                .map(|(_, _, p)| p)
-                .collect();
+                });
                 let (hi, lo) = if li > ri { (li, ri) } else { (ri, li) };
                 let (set_b, right) = groups.remove(hi);
                 let (set_a, left) = groups.remove(lo);
+                let preds: Vec<(CrossPred, bool)> =
+                    between.into_iter().map(|(l, _, p)| (p, !set_a.contains(&l))).collect();
                 let joined =
                     ops::try_theta_join(&self.doc, &left, &right, &preds, &|| {
                         self.check_deadline().is_ok()
@@ -1619,18 +1737,9 @@ reason: {what}
         Ok(groups.pop().map(|(_, r)| r).unwrap_or_default())
     }
 
-    /// Evaluate one component: root NoK anchors, then one structural join
-    /// per cut edge (in discovery order, so parents are always joined
-    /// before their children).
-    ///
-    /// With a [`ComponentPlan`] the component runs the plan's strategy
-    /// rather than the caller's; with a [`WorkBudget`] on top, a run that
-    /// trips the budget is discarded wholesale and re-entered under the
-    /// plan's runner-up strategy (the adaptive mid-query re-plan,
-    /// recorded as a fallback event). All component strategies agree on
-    /// results, so the re-planned run is byte-identical to what the
-    /// primary would have produced.
-    #[allow(clippy::too_many_arguments)]
+    /// Evaluate one component under `strategy`: root NoK anchors, then
+    /// one structural join per cut edge (in discovery order, so parents
+    /// are always joined before their children).
     fn eval_component(
         &self,
         d: &Decomposition,
@@ -1639,8 +1748,6 @@ reason: {what}
         root_axis: Axis,
         cuts: &[&CutEdge],
         strategy: Strategy,
-        cplan: Option<&ComponentPlan>,
-        budget: Option<&Arc<WorkBudget>>,
     ) -> Result<Vec<NestedList>, EngineError> {
         // The component root is matched relative to the document root, so
         // only `/` (depth-1 elements) and `//` (every element) admit
@@ -1653,7 +1760,6 @@ reason: {what}
         // topological constraint.
         let cuts = plan::order_cut_edges(d, root_nok, cuts, &self.index, &self.doc);
         let cuts = &cuts[..];
-        let strategy = cplan.map(|c| c.strategy).unwrap_or(strategy);
         // The pipelined join's discard rule assumes descendant containment;
         // `following`-joins are not order-preserving (Section 4.3), so a
         // component containing one is evaluated with nested loops instead.
@@ -1672,50 +1778,6 @@ reason: {what}
         } else {
             strategy
         };
-        let result =
-            self.run_component_strategy(d, matchers, root_nok, root_axis, cuts, strategy)?;
-        if let (Some(b), Some(cp)) = (budget, cplan) {
-            if b.tripped() {
-                if let Some(runner_up) = cp.runner_up {
-                    // Observed work blew past the estimate: the primary
-                    // run (possibly truncated by the tripped budget) is
-                    // discarded and the component re-enters under the
-                    // runner-up, with the budget disarmed so the re-run
-                    // cannot be cut short.
-                    if let Some(sink) = self.sink() {
-                        sink.record_fallback(
-                            strategy,
-                            runner_up,
-                            format!(
-                                "re-plan: observed work {} exceeded estimated cost {} x \
-                                 replan factor {}",
-                                b.spent(),
-                                cp.est_cost,
-                                self.replan_factor
-                            ),
-                        );
-                    }
-                    b.disarm();
-                    return self.run_component_strategy(
-                        d, matchers, root_nok, root_axis, cuts, runner_up,
-                    );
-                }
-            }
-        }
-        Ok(result)
-    }
-
-    /// One component under one fixed strategy (the dispatch half of
-    /// [`Engine::eval_component`], re-entered on a mid-query re-plan).
-    fn run_component_strategy(
-        &self,
-        d: &Decomposition,
-        matchers: &[NokMatcher<'_>],
-        root_nok: usize,
-        root_axis: Axis,
-        cuts: &[&CutEdge],
-        strategy: Strategy,
-    ) -> Result<Vec<NestedList>, EngineError> {
         let level_ok = |anchor: NodeId| -> bool {
             root_axis != Axis::Child || self.doc.level(anchor) == 1
         };
@@ -2015,6 +2077,17 @@ reason: {what}
                 Ok(())
             }
         }
+    }
+}
+
+/// The FLWORs [`Engine::construct_expr`] evaluates, in the order it meets
+/// them (it does not look inside a FLWOR).
+fn collect_flwors<'e>(expr: &'e Expr, out: &mut Vec<&'e Flwor>) {
+    match expr {
+        Expr::Flwor(f) => out.push(f),
+        Expr::Sequence(items) => items.iter().for_each(|e| collect_flwors(e, out)),
+        Expr::Constructor(c) => c.children.iter().for_each(|e| collect_flwors(e, out)),
+        Expr::Path(_) | Expr::Text(_) => {}
     }
 }
 
@@ -2763,20 +2836,15 @@ mod sort_order_tests {
 }
 
 #[cfg(test)]
-mod replan_tests {
+mod estimate_tests {
     use super::*;
 
-    const REPLAN_FLWOR: &str = "for $c in //x//c return $c";
+    const FLWOR: &str = "for $c in //x//c return $c";
 
     /// A document engineered to make the estimator underestimate: 33
     /// decoy tags outrank `x` in the frequent-tag set, so the `(x, c)`
     /// containment pair is untracked and priced by independence — tiny —
-    /// while in reality every `c` lives under an `x`. The bounded
-    /// nested-loop probe the planner picks for the FLWOR's component then
-    /// touches ~15k elements against an estimate of a few hundred,
-    /// tripping the work budget (whose floor is 10k units). Only FLWOR
-    /// components are budgeted: a path query's flat operators do work
-    /// linear in their posting lists, with nothing to re-plan to.
+    /// while in reality every `c` lives under an `x`.
     fn underestimated_doc() -> String {
         let mut xml = String::from("<r>");
         for d in 0..33 {
@@ -2795,30 +2863,25 @@ mod replan_tests {
         xml
     }
 
+    /// The FLWOR runs its flat plan whatever the estimates say: no
+    /// fallback, one counter row per operator, the navigational bytes.
     #[test]
-    fn blown_estimate_triggers_a_mid_query_replan() {
+    fn flwor_runs_flat_on_the_underestimated_document() {
         let engine = Engine::with_options(
             Document::parse_str(&underestimated_doc()).unwrap(),
             EngineOptions { trace: true, ..EngineOptions::default() },
         );
-        let (out, trace) = engine.eval_query_traced(REPLAN_FLWOR, Strategy::Auto).unwrap();
-        let replans: Vec<_> = trace
-            .fallbacks
-            .iter()
-            .filter(|f| f.reason.contains("re-plan"))
-            .collect();
-        assert_eq!(replans.len(), 1, "fallbacks: {:?}", trace.fallbacks);
-        assert_eq!(trace.estimates.len(), 1);
-        assert!(trace.estimates[0].replanned, "{:?}", trace.estimates);
-        assert_eq!(trace.estimates[0].actual_output, Some(5));
-        // The re-planned run's results must equal the naive evaluator's.
-        let nav = engine.eval_query_str(REPLAN_FLWOR, Strategy::Navigational).unwrap();
+        let (out, trace) = engine.eval_query_traced(FLWOR, Strategy::Auto).unwrap();
+        assert!(trace.fallbacks.is_empty(), "{:?}", trace.fallbacks);
+        assert_eq!(trace.executed, Strategy::Pipelined);
+        assert!(trace.ops.iter().any(|o| o.op.ends_with(" construct")), "{:?}", trace.ops);
+        let nav = engine.eval_query_str(FLWOR, Strategy::Navigational).unwrap();
         assert_eq!(out.len(), 15000 + 2, "15000 <c/> under <result>, plus the document node");
         assert_eq!(blossom_xml::writer::to_string(&out), blossom_xml::writer::to_string(&nav));
     }
 
     #[test]
-    fn path_queries_arm_no_budget() {
+    fn path_queries_record_estimated_and_actual_output() {
         let engine = Engine::with_options(
             Document::parse_str(&underestimated_doc()).unwrap(),
             EngineOptions { trace: true, ..EngineOptions::default() },
@@ -2831,35 +2894,23 @@ mod replan_tests {
         assert!(!trace.estimates[0].replanned);
     }
 
+    /// Each `for` column keeps its own flat operator rows, labelled by
+    /// the FLWOR operator that ran them.
     #[test]
-    fn replan_factor_zero_disables_the_budget() {
-        let engine = Engine::with_options(
-            Document::parse_str(&underestimated_doc()).unwrap(),
-            EngineOptions { trace: true, replan_factor: 0, ..EngineOptions::default() },
-        );
-        let (_, trace) = engine.eval_query_traced(REPLAN_FLWOR, Strategy::Auto).unwrap();
-        assert!(
-            trace.fallbacks.iter().all(|f| !f.reason.contains("re-plan")),
-            "{:?}",
-            trace.fallbacks
-        );
-        assert!(!trace.estimates.is_empty());
-        assert!(!trace.estimates[0].replanned);
-    }
-
-    #[test]
-    fn flwor_traces_carry_per_component_estimates() {
+    fn flwor_columns_keep_separate_operator_rows() {
         let engine = Engine::with_options(
             Document::parse_str("<r><x><c/></x><q/><q/></r>").unwrap(),
             EngineOptions { trace: true, ..EngineOptions::default() },
         );
-        let (_, trace) = engine
+        let (out, trace) = engine
             .eval_query_traced("for $a in //x//c, $b in //q return <p>{$a}</p>", Strategy::Auto)
             .unwrap();
-        assert_eq!(trace.estimates.len(), 2, "{:?}", trace.estimates);
-        assert!(trace.estimates.iter().all(|e| e.actual_output.is_some()));
-        assert_eq!(trace.estimates[0].actual_output, Some(1));
-        assert_eq!(trace.estimates[1].actual_output, Some(2));
+        assert_eq!(blossom_xml::writer::to_string(&out), "<result><p><c/></p><p><c/></p></result>");
+        let product = trace.ops.iter().find(|o| o.op.ends_with(" product")).expect("a product");
+        assert_eq!(product.counters.output, 2);
+        let scans: Vec<&str> =
+            trace.ops.iter().filter(|o| o.op.ends_with(" scan")).map(|o| o.op.as_str()).collect();
+        assert_eq!(scans.len(), 3, "x, c and q scans: {:?}", trace.ops);
     }
 
     #[test]
@@ -2911,9 +2962,15 @@ mod explain_tests {
     fn explain_falls_back_for_unsupported_where() {
         let engine = Engine::from_xml("<r><a><b/></a></r>").unwrap();
         let report = engine
-            .explain_query("for $x in //a where count($x/b) > 0 return $x")
+            .explain_query("for $x in //a where $x/b = 1 or $x/b = 2 return $x")
             .unwrap();
         assert!(report.contains("naive per-iteration"), "{report}");
+        // `count()` is outside the BlossomTree but inside the flat plan.
+        let report = engine
+            .explain_query("for $x in //a where count($x/b) > 0 return $x")
+            .unwrap();
+        assert!(report.contains("flat plan (auto):"), "{report}");
+        assert!(report.contains("filter"), "{report}");
     }
 
     #[test]

@@ -28,9 +28,11 @@
 //! over per-NoK list registers — symbols resolved, operator order fixed —
 //! which one executor loop runs ([`FlatPlan::run`]), choosing each
 //! semi-join's kernel from the lengths of the two lists it is handed, and
-//! `EXPLAIN` prints (its `Display`). FLWOR
-//! evaluation (several returning positions) keeps the NestedList
-//! pipeline, and so does `Strategy::NaiveNestedLoop` as the reference.
+//! `EXPLAIN` prints (its `Display`). A FLWOR under `Auto` runs one such
+//! plan per absolute `for` binding to produce its column
+//! ([`crate::flwor`]); the forced FLWOR strategies and
+//! `Strategy::NaiveNestedLoop` keep the NestedList pipeline as the
+//! reference.
 
 use crate::cost::{tag_of, Estimator};
 use crate::decompose::{CutEdge, Decomposition, NokTree};
@@ -403,6 +405,21 @@ impl FlatPlan {
         sink: Option<&TraceSink>,
         poll: &dyn Fn() -> Result<(), EngineError>,
     ) -> Result<(Vec<NodeId>, u64), EngineError> {
+        self.run_labelled(doc, index, force, sink, poll, "")
+    }
+
+    /// [`FlatPlan::run`] with every operator's counters recorded under
+    /// `"<label><position> <operator>"`, so the plans of several `for`
+    /// columns of one FLWOR keep separate rows.
+    pub(crate) fn run_labelled(
+        &self,
+        doc: &Document,
+        index: &TagIndex,
+        force: Option<Kernel>,
+        sink: Option<&TraceSink>,
+        poll: &dyn Fn() -> Result<(), EngineError>,
+        label: &str,
+    ) -> Result<(Vec<NodeId>, u64), EngineError> {
         let ends = doc.last_desc_column();
         let mut lists: Vec<Cow<'_, [NodeId]>> = vec![Cow::default(); self.noks.len()];
         let mut cur: Cow<'_, [NodeId]> = Cow::default();
@@ -453,7 +470,7 @@ impl FlatPlan {
                 }
             };
             if let Some(sink) = sink {
-                sink.record_op(&format!("{i:02} {}", step.op.name(kernel)), c);
+                sink.record_op(&format!("{label}{i:02} {}", step.op.name(kernel)), c);
             }
             if produced == 0 {
                 // Every edge is mandatory: an empty list anywhere empties

@@ -16,10 +16,10 @@
 //!   TwigStack, binary structural join — [`join`],
 //! * the same pipeline projected onto flat node lists for path queries
 //!   (existential NoK matching + structural semi-joins) — [`flat`],
+//! * FLWORs on flat binding tables with hash and order joins — [`flwor`],
 //! * the navigational baseline / oracle — [`navigational`],
-//! * strategy selection, the selectivity/cost estimator, adaptive work
-//!   budgets and the end-to-end engine — [`plan`], [`cost`], [`budget`],
-//!   [`engine`],
+//! * strategy selection, the selectivity/cost estimator and the
+//!   end-to-end engine — [`plan`], [`cost`], [`engine`],
 //! * execution traces, operator counters and `EXPLAIN ANALYZE`-style
 //!   profiling — [`obs`].
 //!
@@ -31,13 +31,13 @@
 //! assert_eq!(titles.len(), 1);
 //! ```
 
-pub mod budget;
 pub mod cost;
 pub mod decompose;
 pub mod engine;
 pub mod env;
 pub mod exec;
 pub mod flat;
+pub mod flwor;
 pub mod join;
 pub mod merge;
 pub mod navigational;
@@ -62,7 +62,6 @@ pub use obs::{
     EstimateRecord, FallbackEvent, Meter, OpCounters, OpTrace, PhaseTimings, PlanDecision,
     QueryTrace, TraceSink, PROFILE_SCHEMA_VERSION,
 };
-pub use budget::WorkBudget;
 pub use cost::Estimator;
 pub use plan::{ComponentPlan, Plan, Strategy};
 pub use shape::{Shape, ShapeId, ShapeNode};

@@ -12,7 +12,6 @@
 //! [`NokMatcher::scan_range`] restricts it to an id interval, which is
 //! what the bounded nested-loop join exploits.
 
-use crate::budget::WorkBudget;
 use crate::decompose::NokTree;
 use crate::exec::{self, Executor};
 use crate::merge;
@@ -93,11 +92,6 @@ pub struct NokMatcher<'a> {
     /// Trace collection point; when set, scans and streams record their
     /// work counters ([`crate::obs`]).
     sink: Option<&'a TraceSink>,
-    /// Adaptive work budget: every candidate anchor examined charges one
-    /// unit, and scans/streams stop producing once it trips. Truncated
-    /// output is only correct because the engine discards it and re-runs
-    /// the component under the runner-up strategy ([`crate::budget`]).
-    budget: Option<Arc<WorkBudget>>,
 }
 
 /// A raw match of the NoK pattern (all pattern nodes, returning or not).
@@ -133,7 +127,7 @@ impl<'a> NokMatcher<'a> {
             .ids()
             .map(|id| ResolvedTest::resolve(doc, &nok.pattern.node(id).test))
             .collect();
-        NokMatcher { doc, nok, shape, index, resolved, skip, sink: None, budget: None }
+        NokMatcher { doc, nok, shape, index, resolved, skip, sink: None }
     }
 
     /// Attach a trace sink: scans and streams record anchor counters
@@ -142,23 +136,6 @@ impl<'a> NokMatcher<'a> {
     pub fn with_trace_sink(mut self, sink: Option<&'a TraceSink>) -> Self {
         self.sink = sink;
         self
-    }
-
-    /// Attach an adaptive work budget: scans and streams charge one unit
-    /// per candidate anchor and stop early once it trips. `None` (the
-    /// default) never stops.
-    pub fn with_budget(mut self, budget: Option<Arc<WorkBudget>>) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Charge `units` against the budget; `false` means stop producing.
-    #[inline]
-    fn spend(&self, units: u64) -> bool {
-        match &self.budget {
-            Some(b) => b.spend(units),
-            None => true,
-        }
     }
 
     /// Does `x` satisfy the tag-name and value constraints of pattern node
@@ -375,11 +352,6 @@ impl<'a> NokMatcher<'a> {
         counters.skipped = skipped;
         let mut entries: Vec<(NodeId, NestedList)> = Vec::new();
         for x in candidates {
-            if !self.spend(1) {
-                // Budget tripped: the engine discards this (truncated)
-                // result and re-plans the component.
-                break;
-            }
             if let Some(nl) = self.match_at(x) {
                 entries.push((x, nl));
             }
@@ -463,12 +435,6 @@ impl NokStream<'_> {
     #[allow(clippy::should_implement_trait)] // mirrors the paper's GetNext
     pub fn get_next(&mut self) -> Option<(NodeId, NestedList)> {
         while self.pos < self.candidates.len() {
-            if !self.matcher.spend(1) {
-                // Budget tripped: stop producing — the engine discards the
-                // truncated stream output and re-plans the component.
-                self.pos = self.candidates.len();
-                return None;
-            }
             let anchor = self.candidates[self.pos];
             self.pos += 1;
             self.meter.scanned(1);

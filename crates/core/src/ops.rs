@@ -103,7 +103,8 @@ pub fn theta_join(
     right: &[NestedList],
     preds: &[CrossPred],
 ) -> Vec<NestedList> {
-    try_theta_join(doc, left, right, preds, &|| true).expect("uncancellable join")
+    let oriented: Vec<(CrossPred, bool)> = preds.iter().map(|&p| (p, false)).collect();
+    try_theta_join(doc, left, right, &oriented, &|| true).expect("uncancellable join")
 }
 
 /// [`theta_join`] with a cooperative cancellation hook. Disconnected
@@ -112,15 +113,20 @@ pub fn theta_join(
 /// deadline must be able to fire inside the pair loop, not after it.
 /// `keep_going` is polled once per outer row; `false` abandons the join
 /// and yields `None`.
+///
+/// Each predicate comes with its orientation: `true` when its `left`
+/// operand belongs to a component of the `right` input (a predicate
+/// written right-to-left), so each operand is projected from the
+/// NestedList that owns it.
 pub fn try_theta_join(
     doc: &Document,
     left: &[NestedList],
     right: &[NestedList],
-    preds: &[CrossPred],
+    preds: &[(CrossPred, bool)],
     keep_going: &dyn Fn() -> bool,
 ) -> Option<Vec<NestedList>> {
     struct Side {
-        /// Per pred: projected nodes.
+        /// Per pred: projected nodes of the operand this side owns.
         nodes: Vec<Vec<NodeId>>,
         /// Per pred: trimmed string values (value predicates only).
         values: Vec<Vec<String>>,
@@ -128,11 +134,13 @@ pub fn try_theta_join(
     // One serialization buffer reused across every projected value; only
     // the trimmed copy that the cache actually keeps is allocated.
     let mut scratch = String::new();
-    let mut project_side = |nl: &NestedList, pick: fn(&CrossPred) -> ShapeId| -> Side {
-        let nodes: Vec<Vec<NodeId>> =
-            preds.iter().map(|p| nl.project_shape(pick(p))).collect();
+    let mut project_side = |nl: &NestedList, owns_left: fn(bool) -> bool| -> Side {
+        let nodes: Vec<Vec<NodeId>> = preds
+            .iter()
+            .map(|&(p, flipped)| nl.project_shape(if owns_left(flipped) { p.left } else { p.right }))
+            .collect();
         let mut values: Vec<Vec<String>> = Vec::with_capacity(preds.len());
-        for (p, ns) in preds.iter().zip(&nodes) {
+        for ((p, _), ns) in preds.iter().zip(&nodes) {
             match p.rel {
                 CrossRel::Value(_) | CrossRel::NotValue(_) => {
                     let mut vs = Vec::with_capacity(ns.len());
@@ -148,8 +156,8 @@ pub fn try_theta_join(
         }
         Side { nodes, values }
     };
-    let lsides: Vec<Side> = left.iter().map(|l| project_side(l, |p| p.left)).collect();
-    let rsides: Vec<Side> = right.iter().map(|r| project_side(r, |p| p.right)).collect();
+    let lsides: Vec<Side> = left.iter().map(|l| project_side(l, |flipped| !flipped)).collect();
+    let rsides: Vec<Side> = right.iter().map(|r| project_side(r, |flipped| flipped)).collect();
 
     let mut out = Vec::new();
     for (l, ls) in left.iter().zip(&lsides) {
@@ -159,12 +167,14 @@ pub fn try_theta_join(
             return None;
         }
         for (r, rs) in right.iter().zip(&rsides) {
-            let ok = preds.iter().enumerate().all(|(i, p)| match p.rel {
-                CrossRel::Value(op) => cached_compare(&ls.values[i], op, &rs.values[i]),
-                CrossRel::NotValue(op) => {
-                    !cached_compare(&ls.values[i], op, &rs.values[i])
+            let ok = preds.iter().enumerate().all(|(i, &(p, flipped))| {
+                // (the predicate's left operand, its right operand)
+                let (a, b) = if flipped { (rs, ls) } else { (ls, rs) };
+                match p.rel {
+                    CrossRel::Value(op) => cached_compare(&a.values[i], op, &b.values[i]),
+                    CrossRel::NotValue(op) => !cached_compare(&a.values[i], op, &b.values[i]),
+                    rel => eval_cross_rel(doc, &a.nodes[i], rel, &b.nodes[i]),
                 }
-                rel => eval_cross_rel(doc, &ls.nodes[i], rel, &rs.nodes[i]),
             });
             if ok {
                 if let Some(combined) = l.fill(r) {

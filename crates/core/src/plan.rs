@@ -27,10 +27,10 @@
 //! decide is the physical form of each semi-join, chosen per cut edge
 //! from the two list lengths ([`crate::flat::Kernel::for_lengths`]).
 //!
-//! FLWOR decompositions keep per-component planning over the NestedList
-//! operators ([`choose_flwor`]): each [`ComponentPlan`] names a strategy
-//! and a runner-up the engine re-enters the component with when observed
-//! work blows past the estimate mid-query (see [`crate::budget`]).
+//! A FLWOR under `Auto` runs the flat plan of [`crate::flwor`]; one
+//! outside its algebra falls back to per-component planning over the
+//! NestedList operators ([`choose_flwor`]), each [`ComponentPlan`] naming
+//! the strategy its component runs.
 
 use crate::cost::Estimator;
 use crate::decompose::{CutEdge, Decomposition};
@@ -114,9 +114,6 @@ pub struct ComponentPlan {
     /// Strategy this component runs under a decomposed plan (always one
     /// of Pipelined / BoundedNestedLoop / NaiveNestedLoop).
     pub strategy: Strategy,
-    /// Second-cheapest legal strategy: the re-plan target when observed
-    /// work blows past the estimate.
-    pub runner_up: Option<Strategy>,
     /// Estimated anchors of the component root NoK.
     pub est_anchors: u64,
     /// Estimated output cardinality of the component.
@@ -290,9 +287,7 @@ pub fn choose_static(path: &PathExpr, d: &Decomposition) -> Plan {
 
 /// Pick one component's strategy from its cost table: keep `default`
 /// (the structural rule projected onto this component) unless another
-/// candidate prices ≥ [`OVERRIDE_MARGIN`]× cheaper. The runner-up is
-/// the cheapest remaining candidate — the target of a mid-query
-/// re-plan.
+/// candidate prices ≥ [`OVERRIDE_MARGIN`]× cheaper.
 fn pick_component(
     costs: &crate::cost::ComponentCosts,
     component: usize,
@@ -315,15 +310,9 @@ fn pick_component(
         } else {
             (default, default_cost)
         };
-    let runner_up = cands
-        .iter()
-        .filter(|&&(s, _)| s != strategy)
-        .min_by_key(|&&(_, c)| c)
-        .map(|&(s, _)| s);
     ComponentPlan {
         component,
         strategy,
-        runner_up,
         est_anchors: costs.est_anchors,
         est_output: costs.est_output,
         est_cost,
@@ -373,7 +362,6 @@ pub fn choose(path: &PathExpr, d: &Decomposition, stats: &DocStats) -> Plan {
         .map(|(ci, c)| ComponentPlan {
             component: ci,
             strategy: plan.strategy,
-            runner_up: None,
             est_anchors: c.est_anchors,
             est_output: c.est_output,
             est_cost: plan.est_cost,

@@ -123,19 +123,23 @@ fn auto_fallback_events_fire_for_unsupported_flwor() {
     );
 
     // A where-atom over a let-bound operand needs per-tuple existential
-    // filtering, the other Auto fallback site.
+    // filtering: the NestedList pipeline falls back, the flat plan
+    // filters the let-only component's one row.
     let e2 = engine("<dblp><book><crossref>1970</crossref></book></dblp>", true, true);
-    let (_, trace2) = e2
-        .eval_query_traced(
-            "let $v1 := //book where $v1/crossref < 1980 return <out>{ $v1/crossref }</out>",
-            Strategy::Auto,
-        )
-        .unwrap();
+    let query = "let $v1 := //book where $v1/crossref < 1980 return <out>{ $v1/crossref }</out>";
+    let (_, trace2) = e2.eval_query_traced(query, Strategy::BoundedNestedLoop).unwrap();
     assert_eq!(trace2.executed, Strategy::Navigational);
     assert!(!trace2.fallbacks.is_empty(), "expected a recorded fallback event");
+    let (out, trace3) = e2.eval_query_traced(query, Strategy::Auto).unwrap();
+    assert_eq!(trace3.executed, Strategy::Pipelined);
+    assert!(trace3.fallbacks.is_empty(), "{:?}", trace3.fallbacks);
+    let (nav, _) = e2.eval_query_traced(query, Strategy::Navigational).unwrap();
+    assert_eq!(writer::to_string(&out), writer::to_string(&nav));
 }
 
-/// A BlossomTree-supported FLWOR run records tuple-iteration counters.
+/// A FLWOR run records tuple counters: the NestedList pipeline's
+/// enumeration under a forced strategy, the flat plan's construction
+/// under `Auto`.
 #[test]
 fn flwor_tuple_counters_are_recorded() {
     let e = engine(
@@ -143,15 +147,18 @@ fn flwor_tuple_counters_are_recorded() {
         true,
         true,
     );
-    let (_, trace) = e
-        .eval_query_traced("for $b in //book return <t>{$b/title}</t>", Strategy::Auto)
-        .unwrap();
-    let tuples = trace
-        .ops
-        .iter()
-        .find(|o| o.op == "flwor-tuples")
-        .unwrap_or_else(|| panic!("no flwor-tuples op in {:?}", trace.ops));
-    assert_eq!(tuples.counters.output, 2);
+    let query = "for $b in //book return <t>{$b/title}</t>";
+    let op = |strategy: Strategy, suffix: &str| {
+        let (_, trace) = e.eval_query_traced(query, strategy).unwrap();
+        trace
+            .ops
+            .iter()
+            .find(|o| o.op.ends_with(suffix))
+            .unwrap_or_else(|| panic!("no {suffix} op in {:?}", trace.ops))
+            .counters
+    };
+    assert_eq!(op(Strategy::BoundedNestedLoop, "flwor-tuples").output, 2);
+    assert_eq!(op(Strategy::Auto, " construct").output, 2);
 }
 
 /// Tracing is observational only: traced and untraced engines produce

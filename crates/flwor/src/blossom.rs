@@ -114,8 +114,12 @@ impl BlossomTree {
             pattern: PatternTree::new(),
             crossing: Vec::new(),
             documents: Vec::new(),
+            for_vars: Vec::new(),
         };
         for binding in &flwor.bindings {
+            if binding.kind == BindingKind::For {
+                builder.for_vars.push(binding.var.clone());
+            }
             let mode = match binding.kind {
                 BindingKind::For => EdgeMode::Mandatory,
                 BindingKind::Let => EdgeMode::Optional,
@@ -168,6 +172,7 @@ impl BlossomTree {
             pattern: PatternTree::new(),
             crossing: Vec::new(),
             documents: Vec::new(),
+            for_vars: Vec::new(),
         };
         let node = builder
             .graft(path, EdgeMode::Mandatory, false)?
@@ -278,6 +283,8 @@ struct Builder {
     pattern: PatternTree,
     crossing: Vec<CrossingEdge>,
     documents: Vec<String>,
+    /// Variables bound by `for` (each binds exactly one node per tuple).
+    for_vars: Vec<String>,
 }
 
 impl Builder {
@@ -458,6 +465,17 @@ impl Builder {
                 ))
             }
             Comparison::NodeIdentity { left, same, right } => {
+                // `isnot` is false on an empty operand, `not(is)` true:
+                // the two agree only when neither side can be empty.
+                let bare_for = |p: &PathExpr| {
+                    p.steps.is_empty()
+                        && matches!(&p.start, PathStart::Variable(v) if self.for_vars.contains(v))
+                };
+                if negated && !(bare_for(left) && bare_for(right)) {
+                    return Err(BlossomError::Unsupported(
+                        "not(is) over an operand that can be empty".into(),
+                    ));
+                }
                 let l = self.resolve_operand(left)?;
                 let r = self.resolve_operand(right)?;
                 let rel = if *same != negated { CrossRel::Is } else { CrossRel::IsNot };

@@ -25,11 +25,8 @@ fi
 echo "== build (release) =="
 cargo build --release
 
-echo "== tests =="
+echo "== tests (every workspace crate: default-members) =="
 cargo test -q
-
-echo "== workspace tests =="
-cargo test -q --workspace
 
 echo "== differential smoke (engine matrix vs oracle, fixed seeds) =="
 # A bounded slice of the differential harness: 150 seeded rounds across
@@ -296,7 +293,7 @@ done
 cmp target/profile-smoke-plain.out target/profile-smoke-traced.out \
     || { echo "profiling changed the query output bytes"; exit 1; }
 
-echo "== planner smoke (estimates in the profile, re-plan round-trip) =="
+echo "== planner smoke (estimates in the profile) =="
 # The cost-based planner's estimate records (DESIGN.md §11) must be in
 # the profile JSON: per-component strategy, estimated cardinalities and
 # the estimated-vs-actual comparison.
@@ -305,49 +302,18 @@ for key in estimates est_anchors est_output est_cost actual_output replanned; do
         || { echo "profile JSON missing estimate key: ${key}"; exit 1; }
 done
 
-# A document whose decoy tags evict the rare anchor `x` from the
-# tracked frequent-tag set: the cost model underestimates `//x//c`, the
-# FLWOR component's adaptive work budget trips mid-query, and the engine
-# re-plans onto the runner-up strategy. The profile must show both the
-# re-planned estimate row and the recorded re-plan fallback event. (A
-# bare path query arms no budget: its flat operators do work linear in
-# their posting lists.)
-REPLAN_DOC=target/replan-smoke.xml
-REPLAN_JSON=target/replan-profile.json
-{
-    printf '<r>'
-    for i in $(seq 0 32); do
-        for _ in $(seq 6); do printf '<d%d/>' "$i"; done
-    done
-    for _ in $(seq 5); do
-        printf '<x>'
-        for _ in $(seq 3000); do printf '<c/>'; done
-        printf '</x>'
-    done
-    printf '</r>'
-} > "${REPLAN_DOC}"
-cargo run --release -q --bin blossom -- query "${REPLAN_DOC}" \
-    'for $c in //x//c return $c' --profile-json "${REPLAN_JSON}" > /dev/null
-grep -q '"replanned": true' "${REPLAN_JSON}" \
-    || { echo "re-plan did not fire on the underestimate document"; exit 1; }
-grep -q 're-plan' "${REPLAN_JSON}" \
-    || { echo "re-plan fallback event missing from the profile"; exit 1; }
-
-# The same case must round-trip the differential harness: its traced
-# third run only passes when the mid-query strategy switch is explained
-# by a recorded fallback event and the result stays byte-identical
-# across every engine configuration.
-REPLAN_FIXTURE_DIR=target/replan-fixture
-mkdir -p "${REPLAN_FIXTURE_DIR}"
-{
-    printf '# cost-model underestimate: decoy tags evict `x` from the tracked\n'
-    printf '# frequent-tag set, the adaptive budget trips and the component\n'
-    printf '# re-plans mid-query; the traced third run must account for it\n'
-    printf 'query: for $c in //x//c return $c\n'
-    printf 'xml: '
-    cat "${REPLAN_DOC}"
-    printf '\n'
-} > "${REPLAN_FIXTURE_DIR}/underestimate_replan.txt"
-cargo run --release -q -p blossom-bench --bin diff -- \
-    --replay "${REPLAN_FIXTURE_DIR}"
+echo "== flat FLWOR smoke (no fallback, one row per operator) =="
+# An Example-1-shaped FLWOR under `auto` runs the flat plan (DESIGN.md §17): the
+# profile records no fallback, and the hash join and construction each
+# have their own operator row.
+FLWOR_JSON=target/flwor-profile.json
+cargo run --release -q --bin blossom -- query "${PROFILE_DOC}" \
+    'for $a in //item, $b in //item where $a << $b and deep-equal($a/title, $b/title) return <p>{ $a/title }</p>' \
+    --profile-json "${FLWOR_JSON}" > /dev/null
+grep -q '"fallbacks": \[\]' "${FLWOR_JSON}" \
+    || { echo "the flat FLWOR plan fell back"; exit 1; }
+for op in hash-join construct; do
+    grep -q " ${op}\"" "${FLWOR_JSON}" \
+        || { echo "flat FLWOR profile missing operator: ${op}"; exit 1; }
+done
 echo "verify: OK"

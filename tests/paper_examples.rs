@@ -63,6 +63,40 @@ fn example1_produces_example2_output() {
     }
 }
 
+/// Example 1 with its where-atoms written in every operand order — `>>`
+/// for `<<`, the value and `deep-equal` operands swapped — means the same
+/// thing, and every strategy must say so.
+#[test]
+fn example1_with_operands_swapped() {
+    let engine = Engine::from_xml(EXAMPLE2_DOC).unwrap();
+    let expected = writer::to_string(&engine.eval_query_str(EXAMPLE1_QUERY, Strategy::Auto).unwrap());
+    let orders = ["$book1 << $book2", "$book2 >> $book1"];
+    let values = ["not($book1/title = $book2/title)", "not($book2/title = $book1/title)"];
+    let deeps = ["deep-equal($aut1, $aut2)", "deep-equal($aut2, $aut1)"];
+    for order in orders {
+        for value in values {
+            for deep in deeps {
+                let query = EXAMPLE1_QUERY.replace(
+                    "$book1 << $book2\n      and not($book1/title = $book2/title)\n      \
+                     and deep-equal($aut1, $aut2)",
+                    &format!("{order} and {value} and {deep}"),
+                );
+                assert!(query.contains(deep), "the where clause was rewritten: {query}");
+                for strategy in [
+                    Strategy::Auto,
+                    Strategy::Navigational,
+                    Strategy::Pipelined,
+                    Strategy::BoundedNestedLoop,
+                    Strategy::NaiveNestedLoop,
+                ] {
+                    let result = engine.eval_query_str(&query, strategy).unwrap();
+                    assert_eq!(writer::to_string(&result), expected, "{strategy}: {query}");
+                }
+            }
+        }
+    }
+}
+
 /// The paper counts 18 path expressions in Example 1 (counting each
 /// variable reference); our AST folds `$v/p` into a single path, giving
 /// 12 folded paths over the same 18 references.
