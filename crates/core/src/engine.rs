@@ -128,13 +128,33 @@ struct PathPlan {
     flat: Result<FlatPlan, String>,
 }
 
-/// A compiled query holding FLWORs: the parsed expression and, in the
-/// order [`Engine::construct_expr`] meets them, each FLWOR's flat plan —
-/// `Err` says why it is outside the flat algebra (under `Auto` it then
-/// runs the NestedList pipeline as a recorded fallback).
-struct QueryPlan {
-    expr: Expr,
-    flwors: Vec<Result<FlworPlan, String>>,
+/// A constructor or FLWOR query compiled against one document: its
+/// expression tree with each FLWOR's flat plan held at the FLWOR — `Err`
+/// says why it is outside the flat algebra (under `Auto` it then runs the
+/// NestedList pipeline as a recorded fallback).
+enum QueryPlan {
+    Text(String),
+    Seq(Vec<QueryPlan>),
+    Elem { name: String, attrs: Vec<(String, String)>, children: Vec<QueryPlan> },
+    Path(PathExpr),
+    Flwor(Box<Flwor>, Result<FlworPlan, String>),
+}
+
+impl QueryPlan {
+    fn compile(expr: &Expr, doc: &Document, stats: &DocStats) -> QueryPlan {
+        let all = |items: &[Expr]| items.iter().map(|e| QueryPlan::compile(e, doc, stats)).collect();
+        match expr {
+            Expr::Text(t) => QueryPlan::Text(t.clone()),
+            Expr::Sequence(items) => QueryPlan::Seq(all(items)),
+            Expr::Constructor(c) => QueryPlan::Elem {
+                name: c.name.clone(),
+                attrs: c.attrs.clone(),
+                children: all(&c.children),
+            },
+            Expr::Path(p) => QueryPlan::Path(p.clone()),
+            Expr::Flwor(f) => QueryPlan::Flwor(f.clone(), FlworPlan::compile(f, doc, stats)),
+        }
+    }
 }
 
 /// One plan-cache entry, keyed `"{uid}#{query text}"`.
@@ -251,24 +271,6 @@ impl PlanCache {
         }
     }
 
-    /// [`PlanCache::get`] for a full query's text: only an entry holding
-    /// a compiled query counts as a hit, and nothing counts as a miss — a
-    /// path or constructor query goes on to the lookup that plans it
-    /// (see [`PlanCache::insert_query`]).
-    fn get_query(&mut self, query: &str) -> Option<Arc<CachedPlan>> {
-        match self.map.get(query) {
-            Some((plan, _)) if matches!(**plan, CachedPlan::Query(_)) => self.get(query),
-            _ => None,
-        }
-    }
-
-    /// Cache a freshly compiled query: the miss [`PlanCache::get_query`]
-    /// did not count.
-    fn insert_query(&mut self, query: String, plan: Arc<CachedPlan>) {
-        self.misses += 1;
-        self.insert(query, plan)
-    }
-
     fn insert(&mut self, query: String, plan: Arc<CachedPlan>) {
         // Capacity 0 disables caching entirely.
         if self.capacity == 0 {
@@ -342,14 +344,6 @@ impl SharedPlanCache {
 
     fn insert(&self, query: String, plan: Arc<CachedPlan>) {
         self.inner.lock().unwrap().insert(query, plan)
-    }
-
-    fn get_query(&self, query: &str) -> Option<Arc<CachedPlan>> {
-        self.inner.lock().unwrap().get_query(query)
-    }
-
-    fn insert_query(&self, query: String, plan: Arc<CachedPlan>) {
-        self.inner.lock().unwrap().insert_query(query, plan)
     }
 }
 
@@ -717,9 +711,8 @@ impl Engine {
 
     /// Plan `path`, cache the plan under `query` (prefixed with the
     /// document identity, see [`Engine::plan_key`]), and evaluate it.
-    /// Shared miss path of [`Engine::eval_path_str_timed`] (keyed by the
-    /// raw query text) and [`Engine::eval_path_expr_cached`] (keyed by
-    /// the path's canonical rendering).
+    /// Shared miss path of [`Engine::eval_path_str_timed`] and
+    /// [`Engine::eval_query_timed`], both keyed by the raw query text.
     fn eval_path_parsed_cached(
         &self,
         path: &PathExpr,
@@ -780,24 +773,6 @@ impl Engine {
         Ok(self.eval_nav(path))
     }
 
-    /// Evaluate an already-parsed top-level path through the plan cache,
-    /// keyed by the path's canonical `Display` rendering (which the
-    /// parser round-trips). This is how `eval_query_str` paths share
-    /// plans across repeated evaluations.
-    fn eval_path_expr_cached(
-        &self,
-        path: &PathExpr,
-        strategy: Strategy,
-    ) -> Result<Vec<NodeId>, EngineError> {
-        let key = path.to_string();
-        let mut phases = PhaseTimings::default();
-        let cached = self.plans.get(&self.plan_key(&key));
-        if let Some(CachedPlan::Path(plan)) = cached.as_deref() {
-            return self.eval_path_planned(plan, strategy, &mut phases);
-        }
-        self.eval_path_parsed_cached(path, &key, strategy, &mut phases)
-    }
-
     /// Evaluate a path query and return its [`QueryTrace`] alongside the
     /// result nodes. The result is byte-identical to
     /// [`Engine::eval_path_str`]; operator counters are populated only
@@ -829,11 +804,10 @@ impl Engine {
         Ok((doc, self.finish_trace(query, strategy, phases)))
     }
 
-    /// Evaluate a full query through the plan cache. A query holding a
-    /// FLWOR is cached whole — parsed expression plus one compiled
-    /// [`FlworPlan`] per FLWOR — under its text, so a repeated evaluation
-    /// skips parsing and compiling; other queries are parsed here and
-    /// their paths use the path plans.
+    /// Evaluate a full query through the plan cache, under its text: a
+    /// path query as a [`PathPlan`] (shared with [`Engine::eval_path_str`]),
+    /// a constructor or FLWOR query as a [`QueryPlan`], so a repeated
+    /// evaluation skips parsing and compiling.
     fn eval_query_timed(
         &self,
         query: &str,
@@ -841,7 +815,7 @@ impl Engine {
         phases: &mut PhaseTimings,
     ) -> Result<Document, EngineError> {
         let t = Instant::now();
-        let cached = self.plans.get_query(&self.plan_key(query));
+        let cached = self.plans.get(&self.plan_key(query));
         phases.cache_lookup = t.elapsed();
         let plan = match cached {
             Some(plan) => plan,
@@ -849,30 +823,58 @@ impl Engine {
                 let t = Instant::now();
                 let expr = blossom_flwor::parse_query(query)?;
                 phases.parse = t.elapsed();
-                let mut flwors = Vec::new();
-                collect_flwors(&expr, &mut flwors);
-                if flwors.is_empty() {
-                    let t = Instant::now();
-                    let doc = self.eval_expr_to_doc(&expr, strategy, &mut [].iter());
-                    phases.matching = t.elapsed();
-                    return doc;
+                match &expr {
+                    Expr::Path(p) => {
+                        let nodes = self.eval_path_parsed_cached(p, query, strategy, phases)?;
+                        return Ok(self.result_of(&nodes));
+                    }
+                    Expr::Constructor(_) | Expr::Flwor(_) => {}
+                    other => {
+                        return Err(EngineError::Unsupported(format!(
+                            "top-level expression {other:?}"
+                        )))
+                    }
                 }
                 let t = Instant::now();
-                let flwors = flwors
-                    .into_iter()
-                    .map(|f| FlworPlan::compile(f, &self.doc, &self.stats))
-                    .collect();
-                let plan = Arc::new(CachedPlan::Query(QueryPlan { expr, flwors }));
-                self.plans.insert_query(self.plan_key(query), plan.clone());
+                let plan = QueryPlan::compile(&expr, &self.doc, &self.stats);
+                let plan = Arc::new(CachedPlan::Query(plan));
+                self.plans.insert(self.plan_key(query), plan.clone());
                 phases.plan = t.elapsed();
                 plan
             }
         };
-        let CachedPlan::Query(q) = &*plan else { unreachable!("get_query returns queries") };
+        let q = match &*plan {
+            CachedPlan::Path(path) => {
+                let nodes = self.eval_path_planned(path, strategy, phases)?;
+                return Ok(self.result_of(&nodes));
+            }
+            CachedPlan::Query(q) => q,
+        };
         let t = Instant::now();
-        let doc = self.eval_expr_to_doc(&q.expr, strategy, &mut q.flwors.iter());
+        let mut builder = Document::builder();
+        // A FLWOR's tuples are wrapped in one `<result>` element.
+        let wrap = matches!(q, QueryPlan::Flwor(..));
+        if wrap {
+            builder.start_element("result");
+        }
+        self.construct(&mut builder, q, strategy)?;
+        if wrap {
+            builder.end_element();
+        }
         phases.matching = t.elapsed();
-        doc
+        Ok(builder.finish())
+    }
+
+    /// A path query's result document: the nodes' subtrees under one
+    /// `<result>` element.
+    fn result_of(&self, nodes: &[NodeId]) -> Document {
+        let mut builder = Document::builder();
+        builder.start_element("result");
+        for &n in nodes {
+            env::copy_subtree(&mut builder, &self.doc, n);
+        }
+        builder.end_element();
+        builder.finish()
     }
 
     /// Assemble the [`QueryTrace`] from whatever the sink collected.
@@ -1172,81 +1174,42 @@ impl Engine {
         self.eval_query_timed(query, strategy, &mut PhaseTimings::default())
     }
 
-    /// Evaluate a parsed top-level expression into a result document
-    /// (shared tail of [`Engine::eval_query_str`] and
-    /// [`Engine::eval_query_traced`]). `flwors` yields the expression's
-    /// FLWOR plans in the order [`collect_flwors`] listed them.
-    fn eval_expr_to_doc(
-        &self,
-        expr: &Expr,
-        strategy: Strategy,
-        flwors: &mut std::slice::Iter<'_, Result<FlworPlan, String>>,
-    ) -> Result<Document, EngineError> {
-        let mut builder = Document::builder();
-        match &expr {
-            Expr::Constructor(_) | Expr::Flwor(_) => {
-                let needs_wrapper = matches!(expr, Expr::Flwor(_));
-                if needs_wrapper {
-                    builder.start_element("result");
-                }
-                self.construct_expr(&mut builder, expr, strategy, flwors)?;
-                if needs_wrapper {
-                    builder.end_element();
-                }
-            }
-            Expr::Path(p) => {
-                builder.start_element("result");
-                for n in self.eval_path_expr_cached(p, strategy)? {
-                    env::copy_subtree(&mut builder, &self.doc, n);
-                }
-                builder.end_element();
-            }
-            other => {
-                return Err(EngineError::Unsupported(format!(
-                    "top-level expression {other:?}"
-                )))
-            }
-        }
-        Ok(builder.finish())
-    }
-
-    fn construct_expr(
+    /// Append a compiled query's result to `builder`.
+    fn construct(
         &self,
         builder: &mut blossom_xml::TreeBuilder,
-        expr: &Expr,
+        plan: &QueryPlan,
         strategy: Strategy,
-        flwors: &mut std::slice::Iter<'_, Result<FlworPlan, String>>,
     ) -> Result<(), EngineError> {
-        match expr {
-            Expr::Text(t) => {
+        match plan {
+            QueryPlan::Text(t) => {
                 builder.text(t);
                 Ok(())
             }
-            Expr::Sequence(items) => {
+            QueryPlan::Seq(items) => {
                 for item in items {
-                    self.construct_expr(builder, item, strategy, flwors)?;
+                    self.construct(builder, item, strategy)?;
                 }
                 Ok(())
             }
-            Expr::Constructor(c) => {
-                builder.start_element(&c.name);
-                for (k, v) in &c.attrs {
+            QueryPlan::Elem { name, attrs, children } => {
+                builder.start_element(name);
+                for (k, v) in attrs {
                     builder.attribute(k, v);
                 }
-                for child in &c.children {
-                    self.construct_expr(builder, child, strategy, flwors)?;
+                for child in children {
+                    self.construct(builder, child, strategy)?;
                 }
                 builder.end_element();
                 Ok(())
             }
-            Expr::Path(p) => {
+            QueryPlan::Path(p) => {
                 for n in self.eval_path(p, strategy)? {
                     env::copy_subtree(builder, &self.doc, n);
                 }
                 Ok(())
             }
-            Expr::Flwor(f) => {
-                let plan = flwors.next().expect("one plan per FLWOR, in traversal order");
+            QueryPlan::Flwor(f, plan) => {
                 match (strategy, plan) {
                     (Strategy::Auto, Ok(plan)) => self.eval_flwor_flat(builder, plan),
                     (Strategy::Auto, Err(why)) => {
@@ -2080,17 +2043,6 @@ impl Engine {
     }
 }
 
-/// The FLWORs [`Engine::construct_expr`] evaluates, in the order it meets
-/// them (it does not look inside a FLWOR).
-fn collect_flwors<'e>(expr: &'e Expr, out: &mut Vec<&'e Flwor>) {
-    match expr {
-        Expr::Flwor(f) => out.push(f),
-        Expr::Sequence(items) => items.iter().for_each(|e| collect_flwors(e, out)),
-        Expr::Constructor(c) => c.children.iter().for_each(|e| collect_flwors(e, out)),
-        Expr::Path(_) | Expr::Text(_) => {}
-    }
-}
-
 /// Remove and return the elements of `v` matching `pred`.
 fn drain_matching<T, F: Fn(&T) -> bool>(v: &mut Vec<T>, pred: F) -> Vec<T> {
     let mut out = Vec::new();
@@ -2688,6 +2640,54 @@ mod deadline_tests {
         assert!(matches!(err, EngineError::Deadline), "got {err}");
     }
 
+    /// Under `Auto` the same product runs the flat FLWOR plan: an expired
+    /// deadline aborts it without a fallback to the NestedList pipeline,
+    /// and a deadline passing at any poll inside the run (between
+    /// operators, per outer row of a join, per constructed tuple) aborts
+    /// it there.
+    #[test]
+    fn expired_deadline_aborts_the_flat_flwor() {
+        let query = "for $x in //a for $y in //a for $z in //a return <t>{$x}</t>";
+        let engine = Engine::with_options(
+            Document::parse_str(&cartesian_doc()).unwrap(),
+            EngineOptions {
+                trace: true,
+                deadline: Some(Instant::now() - Duration::from_millis(1)),
+                ..EngineOptions::default()
+            },
+        );
+        let err = engine.eval_query_str(query, Strategy::Auto).unwrap_err();
+        assert!(matches!(err, EngineError::Deadline), "got {err}");
+        let (_, executed, fallbacks, _, _) = engine.obs.take();
+        assert!(fallbacks.is_empty(), "{fallbacks:?}");
+        assert_eq!(executed, Some(Strategy::Pipelined));
+
+        let Expr::Flwor(flwor) = blossom_flwor::parse_query(query).unwrap() else {
+            panic!("a FLWOR")
+        };
+        let plan = FlworPlan::compile(&flwor, &engine.doc, &engine.stats).unwrap();
+        let polls = std::cell::Cell::new(0usize);
+        let poll_until = |limit: usize| {
+            polls.set(0);
+            let poll = || {
+                polls.set(polls.get() + 1);
+                if polls.get() > limit {
+                    Err(EngineError::Deadline)
+                } else {
+                    Ok(())
+                }
+            };
+            plan.run(&engine.doc, &engine.index, &mut Document::builder(), None, &poll)
+        };
+        poll_until(usize::MAX).unwrap();
+        let total = polls.get();
+        assert!(total > 60 * 60 * 60, "one poll per constructed tuple: {total}");
+        for limit in [0, 1, 60, 60 * 60, total / 2, total - 1] {
+            let err = poll_until(limit).unwrap_err();
+            assert!(matches!(err, EngineError::Deadline), "limit {limit}: {err}");
+        }
+    }
+
     #[test]
     fn auto_does_not_fall_back_on_a_deadline_abort() {
         // A capability error under Auto falls back to navigational; a
@@ -2911,6 +2911,39 @@ mod estimate_tests {
         let scans: Vec<&str> =
             trace.ops.iter().filter(|o| o.op.ends_with(" scan")).map(|o| o.op.as_str()).collect();
         assert_eq!(scans.len(), 3, "x, c and q scans: {:?}", trace.ops);
+    }
+
+    /// A FLWOR outside the flat algebra (here a context-relative path in
+    /// `return`) runs the NestedList pipeline under `Auto`, which records
+    /// one estimated-vs-actual row per component.
+    #[test]
+    fn flwor_traces_carry_per_component_estimates() {
+        let engine = Engine::with_options(
+            Document::parse_str("<r><x><c/></x><q/><q/></r>").unwrap(),
+            EngineOptions { trace: true, ..EngineOptions::default() },
+        );
+        let query = "for $a in //x//c, $b in //q return <p>{$a}{c}</p>";
+        let (out, trace) = engine.eval_query_traced(query, Strategy::Auto).unwrap();
+        assert_eq!(trace.fallbacks.len(), 1, "{:?}", trace.fallbacks);
+        assert!(trace.fallbacks[0].reason.contains("context-relative"), "{:?}", trace.fallbacks);
+        assert_eq!(trace.estimates.len(), 2, "{:?}", trace.estimates);
+        assert!(trace.estimates.iter().all(|e| e.actual_output.is_some()));
+        assert_eq!(trace.estimates[0].actual_output, Some(1));
+        assert_eq!(trace.estimates[1].actual_output, Some(2));
+        let nav = engine.eval_query_str(query, Strategy::Navigational).unwrap();
+        assert_eq!(blossom_xml::writer::to_string(&out), blossom_xml::writer::to_string(&nav));
+    }
+
+    /// A variable bound twice is outside the BlossomTree too: `Auto`
+    /// evaluates it navigationally, where the later binding shadows.
+    #[test]
+    fn a_rebound_variable_shadows_under_auto() {
+        let engine = Engine::from_xml("<r><x><c/></x><q/><q/></r>").unwrap();
+        let query = "for $a in //x//c, $b in //q let $a := $b return <p>{$a}</p>";
+        let out = engine.eval_query_str(query, Strategy::Auto).unwrap();
+        let nav = engine.eval_query_str(query, Strategy::Navigational).unwrap();
+        assert_eq!(blossom_xml::writer::to_string(&out), "<result><p><q/></p><p><q/></p></result>");
+        assert_eq!(blossom_xml::writer::to_string(&out), blossom_xml::writer::to_string(&nav));
     }
 
     #[test]

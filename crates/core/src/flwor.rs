@@ -42,15 +42,14 @@ use crate::decompose::Decomposition;
 use crate::engine::EngineError;
 use crate::env::copy_subtree;
 use crate::flat::FlatPlan;
-use crate::navigational;
-use crate::nok::ResolvedTest;
+use crate::navigational::{self, ResolvedSteps};
 use crate::obs::{OpCounters, TraceSink};
 use crate::value::sequences_deep_equal;
 use blossom_flwor::{BindingKind, BlossomTree, BoolExpr, Comparison, Expr, Flwor, SortOrder};
 use blossom_flwor::ValueOperand;
 use blossom_xml::fxhash::FxHasher;
-use blossom_xml::{Axis, DocStats, Document, NodeId, NodeKind, TagIndex, TreeBuilder};
-use blossom_xpath::ast::{CmpOp, Literal, NodeTest, PathExpr, PathStart, Step};
+use blossom_xml::{DocStats, Document, NodeId, NodeKind, TagIndex, TreeBuilder};
+use blossom_xpath::ast::{CmpOp, Literal, PathExpr, PathStart};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -155,19 +154,12 @@ enum Base {
     Doc,
 }
 
-/// A relative path, evaluated from each row's base nodes.
-#[derive(Debug)]
-struct Steps {
-    steps: Vec<Step>,
-    /// The tests of an all-child-step path, walked directly.
-    chain: Option<Vec<ResolvedTest>>,
-}
-
 /// A per-row node sequence: a `let` variable or an operand.
 #[derive(Debug)]
 struct Slot {
     base: Base,
-    path: Steps,
+    /// The relative path evaluated from each row's base nodes.
+    steps: ResolvedSteps,
     /// The path as written, for `EXPLAIN`.
     text: String,
     /// Computed before the component's filters (filters read it).
@@ -195,7 +187,7 @@ struct Column {
     /// column (of this component) a relative binding starts at.
     from: Result<Source, usize>,
     /// The relative binding's path (empty for the first column).
-    path: Steps,
+    steps: ResolvedSteps,
 }
 
 /// One component: its `for` columns and its slots.
@@ -311,44 +303,6 @@ enum Bound {
     Let { comp: usize, slot: usize },
 }
 
-impl Steps {
-    fn new(doc: &Document, steps: &[Step]) -> Steps {
-        // A path of predicate-free child steps from one node needs no
-        // sort or dedup: sibling subtrees are disjoint and ordered.
-        let chain = steps
-            .iter()
-            .map(|step| {
-                let plain = step.axis == Axis::Child
-                    && step.predicates.is_empty()
-                    && !matches!(step.test, NodeTest::Attribute(_));
-                plain.then(|| ResolvedTest::resolve(doc, &step.test))
-            })
-            .collect();
-        Steps { steps: steps.to_vec(), chain }
-    }
-
-    /// The path evaluated from `base`, appended to `out` (navigational
-    /// semantics: distinct, document order).
-    fn eval_into(&self, doc: &Document, base: &[NodeId], out: &mut Vec<NodeId>) {
-        match (&self.chain, base) {
-            (Some(chain), &[x]) => walk_children(doc, chain, x, out),
-            _ => out.extend(navigational::eval_from(doc, &self.steps, base)),
-        }
-    }
-}
-
-/// The nodes below `x` along a chain of child tests, in document order.
-fn walk_children(doc: &Document, chain: &[ResolvedTest], x: NodeId, out: &mut Vec<NodeId>) {
-    match chain {
-        [] => out.push(x),
-        [test, rest @ ..] => {
-            for c in doc.children(x).filter(|&c| test.matches(doc, c)) {
-                walk_children(doc, rest, c, out);
-            }
-        }
-    }
-}
-
 struct Compiler<'a> {
     doc: &'a Document,
     stats: &'a DocStats,
@@ -393,12 +347,12 @@ impl Compiler<'_> {
 
     fn slot(&mut self, comp: usize, base: Base, path: &PathExpr) -> usize {
         let slots = &mut self.comps[comp].slots;
-        if let Some(i) = slots.iter().position(|s| s.base == base && s.path.steps == path.steps) {
+        if let Some(i) = slots.iter().position(|s| s.base == base && s.steps.steps() == path.steps) {
             return i;
         }
         slots.push(Slot {
             base,
-            path: Steps::new(self.doc, &path.steps),
+            steps: ResolvedSteps::new(self.doc, &path.steps),
             text: path.to_string(),
             early: false,
             atoms: false,
@@ -416,8 +370,9 @@ impl Compiler<'_> {
                 let source = column_source(path, self.doc, self.stats);
                 self.comps.push(Comp::default());
                 let comp = self.comps.len() - 1;
-                let path = Steps::new(self.doc, &[]);
-                self.comps[comp].cols.push(Column { var: var.into(), from: Ok(source), path });
+                let steps = ResolvedSteps::new(self.doc, &[]);
+                let column = Column { var: var.into(), from: Ok(source), steps };
+                self.comps[comp].cols.push(column);
                 self.nesting.push((comp, 0));
                 Bound::For { comp, col: 0 }
             }
@@ -429,8 +384,8 @@ impl Compiler<'_> {
             (PathStart::Variable(v), BindingKind::For) => match self.bound(v)? {
                 Bound::For { comp, col } => {
                     let cols = &mut self.comps[comp].cols;
-                    let path = Steps::new(self.doc, &path.steps);
-                    cols.push(Column { var: var.into(), from: Err(col), path });
+                    let steps = ResolvedSteps::new(self.doc, &path.steps);
+                    cols.push(Column { var: var.into(), from: Err(col), steps });
                     self.nesting.push((comp, cols.len() - 1));
                     Bound::For { comp, col: cols.len() - 1 }
                 }
@@ -881,8 +836,7 @@ impl Run<'_> {
                 for r in 0..t.rows {
                     poll()?;
                     found.clear();
-                    let from = [t.cols[*parent][r]];
-                    column.path.eval_into(doc, &from, &mut found);
+                    column.steps.eval_into(doc, &[t.cols[*parent][r]], &mut found);
                     c.scanned += 1;
                     for &b in &found {
                         for (k, out) in cols.iter_mut().enumerate().take(col) {
@@ -916,15 +870,13 @@ impl Run<'_> {
             data.ranges = vec![(0, 0); t.rows];
             for &r in &t.live {
                 let r = r as usize;
+                let from = match slot.base {
+                    Base::Col(k) => std::slice::from_ref(&t.cols[k][r]),
+                    Base::Slot(b) => &done[b].nodes[done[b].range(r)],
+                    Base::Doc => &[NodeId::DOCUMENT],
+                };
                 let off = data.nodes.len();
-                match slot.base {
-                    Base::Col(k) => slot.path.eval_into(doc, &[t.cols[k][r]], &mut data.nodes),
-                    Base::Slot(b) => {
-                        let from = &done[b].nodes[done[b].range(r)];
-                        slot.path.eval_into(doc, from, &mut data.nodes)
-                    }
-                    Base::Doc => slot.path.eval_into(doc, &[NodeId::DOCUMENT], &mut data.nodes),
-                }
+                slot.steps.eval_into(doc, from, &mut data.nodes);
                 data.ranges[r] = (off as u32, (data.nodes.len() - off) as u32);
             }
             if slot.atoms {
@@ -1170,7 +1122,7 @@ impl fmt::Display for FlworPlan {
                             let from = &self.comps[*comp].cols[*parent].var;
                             let path = PathExpr {
                                 start: PathStart::Variable(from.clone()),
-                                steps: column.path.steps.clone(),
+                                steps: column.steps.steps().to_vec(),
                             };
                             writeln!(f, "c{comp} ${} in {path}", column.var)?
                         }

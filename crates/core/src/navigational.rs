@@ -58,11 +58,79 @@ pub fn eval_from_counted(
     start: &[NodeId],
     meter: &mut Meter,
 ) -> Vec<NodeId> {
+    // A name test is resolved to its symbol once per step; a name the
+    // document never uses matches no candidate.
+    eval_steps(doc, steps, |_, step| ResolvedTest::resolve(doc, &step.test), start, meter)
+}
+
+/// A relative path with its node tests resolved against one document
+/// once, for evaluating it from many start nodes.
+#[derive(Debug)]
+pub(crate) struct ResolvedSteps {
+    steps: Vec<Step>,
+    tests: Vec<ResolvedTest>,
+    /// Every step is a predicate-free child step.
+    child_only: bool,
+}
+
+impl ResolvedSteps {
+    pub(crate) fn new(doc: &Document, steps: &[Step]) -> ResolvedSteps {
+        let tests = steps.iter().map(|s| ResolvedTest::resolve(doc, &s.test)).collect();
+        let child_only = steps.iter().all(|s| {
+            s.axis == Axis::Child
+                && s.predicates.is_empty()
+                && !matches!(s.test, NodeTest::Attribute(_))
+        });
+        ResolvedSteps { steps: steps.to_vec(), tests, child_only }
+    }
+
+    /// The steps as parsed.
+    pub(crate) fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// [`eval_from`] on the resolved tests, appended to `out`. Child steps
+    /// from one node are walked depth-first without intermediate lists:
+    /// sibling subtrees are disjoint and in order, so the walk's output
+    /// is already distinct and in document order.
+    pub(crate) fn eval_into(&self, doc: &Document, start: &[NodeId], out: &mut Vec<NodeId>) {
+        match start {
+            &[x] if self.child_only => walk_children(doc, &self.tests, x, out),
+            _ => out.extend(eval_steps(
+                doc,
+                &self.steps,
+                |i, _| self.tests[i],
+                start,
+                &mut Meter::off(),
+            )),
+        }
+    }
+}
+
+/// The nodes below `x` along a chain of child tests, in document order.
+fn walk_children(doc: &Document, tests: &[ResolvedTest], x: NodeId, out: &mut Vec<NodeId>) {
+    match tests {
+        [] => out.push(x),
+        [test, rest @ ..] => {
+            for c in doc.children(x).filter(|&c| test.matches(doc, c)) {
+                walk_children(doc, rest, c, out);
+            }
+        }
+    }
+}
+
+/// The step loop of [`eval_from`], with step `i`'s node test given by
+/// `test(i, step)`.
+fn eval_steps(
+    doc: &Document,
+    steps: &[Step],
+    test: impl Fn(usize, &Step) -> ResolvedTest,
+    start: &[NodeId],
+    meter: &mut Meter,
+) -> Vec<NodeId> {
     let mut current = Cow::Borrowed(start);
-    for step in steps {
-        // A name test is resolved to its symbol once per step; a name the
-        // document never uses matches no candidate.
-        let test = ResolvedTest::resolve(doc, &step.test);
+    for (i, step) in steps.iter().enumerate() {
+        let test = test(i, step);
         let mut next: Vec<NodeId> = Vec::new();
         for &ctx in current.iter() {
             // Candidates along the axis, in document order, filtered by
@@ -290,6 +358,25 @@ mod tests {
         let p = blossom_xpath::parse_path("author").unwrap();
         let authors = eval_path(&doc, &p, &books);
         assert_eq!(authors.len(), 3);
+    }
+
+    /// The child-step walk returns what the step loop returns.
+    #[test]
+    fn resolved_steps_agree_with_eval_from() {
+        let doc = Document::parse_str("<a><a><b/><c/><b><b/></b></a><b/>t<zz/></a>").unwrap();
+        let all: Vec<NodeId> = (0..doc.len() as u32).map(NodeId).collect();
+        for path in ["b", "a/b", "*/b", "b/b", "text()", "nope", "a/*", "", "//b", "b[1]", "@x"] {
+            let steps = match path {
+                "" => Vec::new(),
+                p => blossom_xpath::parse_path(p).unwrap().steps,
+            };
+            let resolved = ResolvedSteps::new(&doc, &steps);
+            for start in all.iter().map(std::slice::from_ref).chain([&all[..2], &all[1..]]) {
+                let mut got = vec![NodeId(0)];
+                resolved.eval_into(&doc, start, &mut got);
+                assert_eq!(got[1..], eval_from(&doc, &steps, start)[..], "{path} from {start:?}");
+            }
+        }
     }
 
     #[test]

@@ -116,7 +116,15 @@ impl BlossomTree {
             documents: Vec::new(),
             for_vars: Vec::new(),
         };
-        for binding in &flwor.bindings {
+        for (i, binding) in flwor.bindings.iter().enumerate() {
+            // A rebinding shadows the earlier variable for later clauses;
+            // the pattern has one vertex per variable name.
+            if flwor.bindings[..i].iter().any(|b| b.var == binding.var) {
+                return Err(BlossomError::Unsupported(format!(
+                    "${} is bound twice",
+                    binding.var
+                )));
+            }
             if binding.kind == BindingKind::For {
                 builder.for_vars.push(binding.var.clone());
             }
