@@ -35,8 +35,6 @@
 //!                          per connection (default 2)
 //! * `--nodes N`            approximate nodes per dataset document
 //!                          (default 4000)
-//! * `--threads N`          per-query evaluation threads for in-process
-//!                          servers (default 1)
 //! * `--rates A,B,C`        open-loop offered arrival rates in req/s
 //!                          (default `500,2000,8000`)
 //! * `--rate R`             shorthand for a single-rate open-loop run
@@ -244,17 +242,12 @@ fn open_run_json(run: &OpenRun) -> Json {
 /// version of that model at this connection count (fewer workers would
 /// strand keep-alive connections forever); the event loop keeps its
 /// small default execution pool, which is the point of the comparison.
-fn spawn_model(model: IoModel, connections: usize, threads: usize) -> ServerHandle {
+fn spawn_model(model: IoModel, connections: usize) -> ServerHandle {
     let workers = match model {
         IoModel::ThreadPerRequest => connections,
         IoModel::EventLoop => ServerConfig::default().workers,
     };
-    Server::bind(ServerConfig {
-        io_model: model,
-        workers,
-        query_threads: threads,
-        ..ServerConfig::default()
-    })
+    Server::bind(ServerConfig { io_model: model, workers, ..ServerConfig::default() })
     .expect("bind ephemeral port")
     .spawn()
 }
@@ -264,7 +257,6 @@ fn main() {
     let connections: usize = args.get("connections").unwrap_or(4);
     let rounds: usize = args.get("rounds").unwrap_or(2);
     let nodes: usize = args.get("nodes").unwrap_or(4000);
-    let threads: usize = args.get("threads").unwrap_or(1);
     let out: String = args.get("out").unwrap_or_else(|| "BENCH_server.json".into());
     let external: Option<String> = args.get("addr");
     let open_connections: usize = args.get("open-connections").unwrap_or(256);
@@ -285,11 +277,7 @@ fn main() {
     let (addr, handle) = match &external {
         Some(addr) => (addr.clone(), None),
         None => {
-            let server = Server::bind(ServerConfig {
-                query_threads: threads,
-                ..ServerConfig::default()
-            })
-            .expect("bind ephemeral port");
+            let server = Server::bind(ServerConfig::default()).expect("bind ephemeral port");
             let handle = server.spawn();
             (handle.addr().to_string(), Some(handle))
         }
@@ -504,7 +492,7 @@ fn main() {
                 // leak across measurements.
                 let (run_addr, run_handle) = match model {
                     Some(m) => {
-                        let h = spawn_model(m, open_connections, threads);
+                        let h = spawn_model(m, open_connections);
                         (h.addr().to_string(), Some(h))
                     }
                     None => (addr.clone(), None),

@@ -3,8 +3,8 @@
 //!
 //! A *case* is one `(document, query)` pair. [`run_case`] evaluates it
 //! under the full configuration matrix — navigational plus every join
-//! strategy, threads ∈ {1,4}, `skip_joins` on/off — and compares each
-//! serialized result byte-for-byte with [`blossom_oracle::Oracle`].
+//! strategy and `Auto` — and compares each serialized result
+//! byte-for-byte with [`blossom_oracle::Oracle`].
 //! Explicit join strategies may reject a query as outside their shape
 //! (that's a *skip*, not a failure), but `Auto` and `Navigational` must
 //! accept everything the oracle accepts, and every successful evaluation
@@ -40,52 +40,20 @@ use blossom_oracle::output::{serialize, Frag};
 use blossom_oracle::Oracle;
 use blossom_xml::{writer, Document, NodeId, TagIndex};
 use blossom_xpath::ast::{PathExpr, Predicate};
-use std::fmt;
 use std::sync::Arc;
 
-/// One engine configuration under test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Config {
-    /// Evaluation strategy.
-    pub strategy: Strategy,
-    /// Worker threads.
-    pub threads: usize,
-    /// Posting-list / stream skipping.
-    pub skip_joins: bool,
-}
-
-impl fmt::Display for Config {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}/t{}/{}",
-            self.strategy,
-            self.threads,
-            if self.skip_joins { "skip" } else { "noskip" }
-        )
-    }
-}
-
-/// The full configuration matrix. Navigational ignores both knobs, so it
-/// appears once; every join strategy is crossed with threads and
-/// skipping.
-pub fn config_matrix() -> Vec<Config> {
-    let mut out = vec![Config { strategy: Strategy::Navigational, threads: 1, skip_joins: true }];
-    for strategy in [
+/// The configuration matrix: navigational plus every join strategy and
+/// `Auto`, each at the engine's default options.
+pub fn config_matrix() -> Vec<Strategy> {
+    vec![
+        Strategy::Navigational,
         Strategy::TwigStack,
         Strategy::PathStack,
         Strategy::Pipelined,
         Strategy::BoundedNestedLoop,
         Strategy::NaiveNestedLoop,
         Strategy::Auto,
-    ] {
-        for threads in [1usize, 4] {
-            for skip_joins in [true, false] {
-                out.push(Config { strategy, threads, skip_joins });
-            }
-        }
-    }
-    out
+    ]
 }
 
 /// Strategies that must accept everything the oracle accepts.
@@ -97,7 +65,7 @@ fn must_support(strategy: Strategy) -> bool {
 #[derive(Debug, Clone)]
 pub struct Mismatch {
     /// The configuration that disagreed, formatted for display (an
-    /// engine [`Config`], or `server http` for the live-server row).
+    /// engine strategy, or `server http` for the live-server row).
     pub config: String,
     /// What the engine produced (or its error, prefixed `error: `).
     pub engine: String,
@@ -116,7 +84,7 @@ pub struct CaseResult {
     pub mismatches: Vec<Mismatch>,
     /// The strategy each accepting configuration *actually* executed,
     /// from its trace (`Auto` never appears here: it always resolves).
-    pub executed: Vec<(Config, Strategy)>,
+    pub executed: Vec<(Strategy, Strategy)>,
 }
 
 impl CaseResult {
@@ -235,34 +203,22 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
     };
 
     let mut result = CaseResult::default();
-    for config in config_matrix() {
-        let engine = Engine::with_options(
-            Document::parse_str(xml).expect("reparse"),
-            EngineOptions {
-                threads: config.threads,
-                skip_joins: config.skip_joins,
-                ..EngineOptions::default()
-            },
-        );
-        let first = engine.eval_query_str(query, config.strategy).map(|d| writer::to_string(&d));
-        let second = engine.eval_query_str(query, config.strategy).map(|d| writer::to_string(&d));
+    for strategy in config_matrix() {
+        let engine = Engine::new(Document::parse_str(xml).expect("reparse"));
+        let first = engine.eval_query_str(query, strategy).map(|d| writer::to_string(&d));
+        let second = engine.eval_query_str(query, strategy).map(|d| writer::to_string(&d));
         // Traced re-run: tracing must not change acceptance or bytes, and
         // the trace must account for the strategy that actually ran.
         let traced = Engine::with_options(
             Document::parse_str(xml).expect("reparse"),
-            EngineOptions {
-                threads: config.threads,
-                skip_joins: config.skip_joins,
-                trace: true,
-                ..EngineOptions::default()
-            },
+            EngineOptions { trace: true, ..EngineOptions::default() },
         );
-        match (&first, traced.eval_query_traced(query, config.strategy)) {
+        match (&first, traced.eval_query_traced(query, strategy)) {
             (Ok(plain), Ok((doc, trace))) => {
                 let traced_str = writer::to_string(&doc);
                 if *plain != traced_str {
                     result.mismatches.push(Mismatch {
-                        config: config.to_string(),
+                        config: strategy.to_string(),
                         engine: format!("untraced: {plain} / traced: {traced_str}"),
                         oracle: expected_str.clone(),
                     });
@@ -270,7 +226,7 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
                 }
                 if trace.executed != trace.resolved && trace.fallbacks.is_empty() {
                     result.mismatches.push(Mismatch {
-                        config: config.to_string(),
+                        config: strategy.to_string(),
                         engine: format!(
                             "trace: resolved {} but executed {} with no fallback event",
                             trace.resolved, trace.executed
@@ -279,11 +235,11 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
                     });
                     continue;
                 }
-                result.executed.push((config, trace.executed));
+                result.executed.push((strategy, trace.executed));
             }
             (Ok(plain), Err(e)) => {
                 result.mismatches.push(Mismatch {
-                    config: config.to_string(),
+                    config: strategy.to_string(),
                     engine: format!("untraced: {plain} / traced error: {e}"),
                     oracle: expected_str.clone(),
                 });
@@ -291,7 +247,7 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
             }
             (Err(_), Ok((doc, _))) => {
                 result.mismatches.push(Mismatch {
-                    config: config.to_string(),
+                    config: strategy.to_string(),
                     engine: format!("untraced error / traced: {}", writer::to_string(&doc)),
                     oracle: expected_str.clone(),
                 });
@@ -303,7 +259,7 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
             (Ok(a), Ok(b)) if a != b => {
                 // The cached plan disagreed with the fresh one.
                 result.mismatches.push(Mismatch {
-                    config: config.to_string(),
+                    config: strategy.to_string(),
                     engine: format!("first: {a} / cached: {b}"),
                     oracle: expected_str.clone(),
                 });
@@ -317,7 +273,7 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
                     result.agreed += 1;
                 } else {
                     result.mismatches.push(Mismatch {
-                        config: config.to_string(),
+                        config: strategy.to_string(),
                         engine: got,
                         oracle: want.clone(),
                     });
@@ -325,9 +281,9 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
             }
             (Err(_), Err(_)) => result.agreed += 1, // both reject: agreement
             (Ok(want), Err(e)) => {
-                if must_support(config.strategy) {
+                if must_support(strategy) {
                     result.mismatches.push(Mismatch {
-                        config: config.to_string(),
+                        config: strategy.to_string(),
                         engine: format!("error: {e}"),
                         oracle: want.clone(),
                     });
@@ -339,7 +295,7 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
                 // The oracle rejected a query the engine accepts: the
                 // oracle's subset model is wrong. Always a finding.
                 result.mismatches.push(Mismatch {
-                    config: config.to_string(),
+                    config: strategy.to_string(),
                     engine: got,
                     oracle: format!("error: {oe}"),
                 });
@@ -418,40 +374,34 @@ pub fn run_storage_case(xml: &str, query: &str) -> CaseResult {
     let mapped_doc = Arc::new(snap.doc);
     let mapped_index = Arc::new(snap.index);
     let mapped_stats = Arc::new(snap.stats);
-    for config in config_matrix() {
-        let options = EngineOptions {
-            threads: config.threads,
-            skip_joins: config.skip_joins,
-            ..EngineOptions::default()
-        };
-        let owned_engine =
-            Engine::with_options(Document::parse_str(xml).expect("reparse"), options.clone());
+    for strategy in config_matrix() {
+        let owned_engine = Engine::new(Document::parse_str(xml).expect("reparse"));
         let mapped_engine = Engine::with_shared(
             mapped_doc.clone(),
             mapped_index.clone(),
             mapped_stats.clone(),
             Arc::new(SharedPlanCache::new(8)),
-            options,
+            EngineOptions::default(),
         );
         let owned =
-            owned_engine.eval_query_str(query, config.strategy).map(|d| writer::to_string(&d));
+            owned_engine.eval_query_str(query, strategy).map(|d| writer::to_string(&d));
         let mapped =
-            mapped_engine.eval_query_str(query, config.strategy).map(|d| writer::to_string(&d));
+            mapped_engine.eval_query_str(query, strategy).map(|d| writer::to_string(&d));
         match (owned, mapped) {
             (Ok(a), Ok(b)) if a == b => result.agreed += 1,
             (Err(_), Err(_)) => result.skipped += 1, // both reject: agreement
             (Ok(a), Ok(b)) => result.mismatches.push(Mismatch {
-                config: config.to_string(),
+                config: strategy.to_string(),
                 engine: b,
                 oracle: a,
             }),
             (Ok(a), Err(e)) => result.mismatches.push(Mismatch {
-                config: config.to_string(),
+                config: strategy.to_string(),
                 engine: format!("mapped error: {e}"),
                 oracle: a,
             }),
             (Err(e), Ok(b)) => result.mismatches.push(Mismatch {
-                config: config.to_string(),
+                config: strategy.to_string(),
                 engine: b,
                 oracle: format!("owned error: {e}"),
             }),
@@ -533,24 +483,20 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
     // list or region label surfaces as a query-result mismatch.
     let oracle = Oracle::new(&rebuilt);
     let expected = oracle.eval_query_str(query);
-    for config in config_matrix() {
+    for strategy in config_matrix() {
         let engine = Engine::with_shared(
             updated.doc.clone(),
             updated.index.clone(),
             updated.stats.clone(),
             Arc::new(SharedPlanCache::new(8)),
-            EngineOptions {
-                threads: config.threads,
-                skip_joins: config.skip_joins,
-                ..EngineOptions::default()
-            },
+            EngineOptions::default(),
         );
-        let first = engine.eval_query_str(query, config.strategy).map(|d| writer::to_string(&d));
-        let second = engine.eval_query_str(query, config.strategy).map(|d| writer::to_string(&d));
+        let first = engine.eval_query_str(query, strategy).map(|d| writer::to_string(&d));
+        let second = engine.eval_query_str(query, strategy).map(|d| writer::to_string(&d));
         let got = match (&first, &second) {
             (Ok(a), Ok(b)) if a != b => {
                 result.mismatches.push(Mismatch {
-                    config: config.to_string(),
+                    config: strategy.to_string(),
                     engine: format!("first: {a} / cached: {b}"),
                     oracle: expected.clone().unwrap_or_else(|e| format!("error: {e}")),
                 });
@@ -566,21 +512,16 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
             updated.index.clone(),
             updated.stats.clone(),
             Arc::new(SharedPlanCache::new(8)),
-            EngineOptions {
-                threads: config.threads,
-                skip_joins: config.skip_joins,
-                trace: true,
-                ..EngineOptions::default()
-            },
+            EngineOptions { trace: true, ..EngineOptions::default() },
         );
         let expected_str =
             || expected.clone().unwrap_or_else(|e| format!("error: {e}"));
-        match (&got, traced.eval_query_traced(query, config.strategy)) {
+        match (&got, traced.eval_query_traced(query, strategy)) {
             (Ok(plain), Ok((doc, trace))) => {
                 let traced_str = writer::to_string(&doc);
                 if *plain != traced_str {
                     result.mismatches.push(Mismatch {
-                        config: config.to_string(),
+                        config: strategy.to_string(),
                         engine: format!("untraced: {plain} / traced: {traced_str}"),
                         oracle: expected_str(),
                     });
@@ -588,7 +529,7 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
                 }
                 if trace.executed != trace.resolved && trace.fallbacks.is_empty() {
                     result.mismatches.push(Mismatch {
-                        config: config.to_string(),
+                        config: strategy.to_string(),
                         engine: format!(
                             "trace: resolved {} but executed {} with no fallback event",
                             trace.resolved, trace.executed
@@ -597,11 +538,11 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
                     });
                     continue;
                 }
-                result.executed.push((config, trace.executed));
+                result.executed.push((strategy, trace.executed));
             }
             (Ok(plain), Err(e)) => {
                 result.mismatches.push(Mismatch {
-                    config: config.to_string(),
+                    config: strategy.to_string(),
                     engine: format!("untraced: {plain} / traced error: {e}"),
                     oracle: expected_str(),
                 });
@@ -609,7 +550,7 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
             }
             (Err(_), Ok((doc, _))) => {
                 result.mismatches.push(Mismatch {
-                    config: config.to_string(),
+                    config: strategy.to_string(),
                     engine: format!("untraced error / traced: {}", writer::to_string(&doc)),
                     oracle: expected_str(),
                 });
@@ -623,7 +564,7 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
                     result.agreed += 1;
                 } else {
                     result.mismatches.push(Mismatch {
-                        config: config.to_string(),
+                        config: strategy.to_string(),
                         engine: got,
                         oracle: want.clone(),
                     });
@@ -631,9 +572,9 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
             }
             (Err(_), Err(_)) => result.agreed += 1,
             (Ok(want), Err(e)) => {
-                if must_support(config.strategy) {
+                if must_support(strategy) {
                     result.mismatches.push(Mismatch {
-                        config: config.to_string(),
+                        config: strategy.to_string(),
                         engine: format!("error: {e}"),
                         oracle: want.clone(),
                     });
@@ -643,7 +584,7 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
             }
             (Err(oe), Ok(got)) => {
                 result.mismatches.push(Mismatch {
-                    config: config.to_string(),
+                    config: strategy.to_string(),
                     engine: got,
                     oracle: format!("error: {oe}"),
                 });
@@ -1024,11 +965,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn matrix_covers_strategies_threads_and_skipping() {
+    fn matrix_covers_navigational_and_every_strategy() {
         let m = config_matrix();
-        assert_eq!(m.len(), 1 + 6 * 2 * 2);
-        assert!(m.iter().any(|c| c.strategy == Strategy::Navigational));
-        assert!(m.iter().any(|c| c.threads == 4 && !c.skip_joins));
+        assert_eq!(m.len(), 7);
+        for s in ["navigational", "ts", "ps", "pl", "bnlj", "nlj", "auto"] {
+            assert!(m.contains(&s.parse().unwrap()), "{s}");
+        }
     }
 
     #[test]
@@ -1057,7 +999,7 @@ mod tests {
         let nav = r
             .executed
             .iter()
-            .find(|(c, _)| c.strategy == Strategy::Navigational)
+            .find(|(c, _)| *c == Strategy::Navigational)
             .expect("the navigational config records its execution");
         assert_eq!(nav.1, Strategy::Navigational);
     }

@@ -10,12 +10,8 @@
 //!   d1–d5), with DNF cutoffs.
 //! * `ablation` — merged-scan vs separate scans, BNLJ vs naive NLJ,
 //!   binary structural joins vs holistic TwigStack.
-//! * `parallel` — sequential vs partitioned parallel NoK scans on a
-//!   large generated document; writes `BENCH_parallel.json`.
 //! * `micro` — parse/serialize/join/FLWOR micro-timings (the former
 //!   criterion suite on the in-tree harness); writes `BENCH_micro.json`.
-//! * `joins` — every structural operator with posting-list skipping on
-//!   vs off on the Table 3 workloads; writes `BENCH_joins.json`.
 //! * `diff` — the differential harness: seeded random documents and
 //!   queries, every engine configuration checked against the
 //!   spec-direct oracle (`blossom-oracle`), mismatches auto-shrunk to

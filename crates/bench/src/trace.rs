@@ -3,14 +3,11 @@
 //! The engine's `--profile-json` output (see `blossom_core::obs`) is a
 //! stable, versioned schema; this module is the harness-side consumer:
 //! a key-presence validator the verify script and tests run against real
-//! profiles, plus helpers that turn [`QueryTrace`] counters into the
-//! bench reports' [`Json`] values (so `BENCH_joins.json` can carry
-//! skipped-element counts next to the timings).
+//! profiles.
 
-use crate::timing::Json;
-use blossom_core::{OpCounters, QueryTrace, PROFILE_SCHEMA_VERSION};
+use blossom_core::PROFILE_SCHEMA_VERSION;
 
-/// Top-level keys every version-1 profile must contain.
+/// Top-level keys every current-version profile must contain.
 pub const PROFILE_KEYS: &[&str] = &[
     "blossom_profile",
     "query",
@@ -20,13 +17,11 @@ pub const PROFILE_KEYS: &[&str] = &[
     "totals",
     "phases_us",
     "cache",
-    "threads",
-    "skip_joins",
     "counters_enabled",
 ];
 
-/// Check that `json` looks like a version-1 profile: every schema key is
-/// present and the version stamp matches [`PROFILE_SCHEMA_VERSION`].
+/// Check that `json` looks like a current-version profile: every schema
+/// key is present and the version stamp matches [`PROFILE_SCHEMA_VERSION`].
 pub fn validate_profile_json(json: &str) -> Result<(), String> {
     for key in PROFILE_KEYS {
         if !json.contains(&format!("\"{key}\"")) {
@@ -40,28 +35,6 @@ pub fn validate_profile_json(json: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Operator counters as a report object
-/// (`scanned`/`skipped`/`pushes`/`matches`/`output`).
-pub fn counters_json(c: &OpCounters) -> Json {
-    Json::obj([
-        ("scanned", Json::Num(c.scanned as f64)),
-        ("skipped", Json::Num(c.skipped as f64)),
-        ("pushes", Json::Num(c.pushes as f64)),
-        ("matches", Json::Num(c.matches as f64)),
-        ("output", Json::Num(c.output as f64)),
-    ])
-}
-
-/// One report entry for a traced query: the sample `name` it annotates,
-/// the strategy that actually executed, and the summed operator counters.
-pub fn profile_entry(name: &str, trace: &QueryTrace) -> Json {
-    Json::obj([
-        ("name", Json::str(name)),
-        ("executed", Json::str(trace.executed.to_string())),
-        ("counters", counters_json(&trace.totals())),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,7 +43,7 @@ mod tests {
     fn traced_engine() -> Engine {
         Engine::with_options(
             blossom_xml::Document::parse_str("<r><a><b/></a><a/></r>").unwrap(),
-            EngineOptions { threads: 1, trace: true, ..EngineOptions::default() },
+            EngineOptions { trace: true, ..EngineOptions::default() },
         )
     }
 
@@ -85,15 +58,5 @@ mod tests {
     fn missing_keys_are_reported() {
         let err = validate_profile_json("{}").unwrap_err();
         assert!(err.contains("blossom_profile"), "{err}");
-    }
-
-    #[test]
-    fn profile_entries_carry_counters() {
-        let engine = traced_engine();
-        let (_, trace) = engine.eval_path_traced("//a//b", Strategy::Auto).unwrap();
-        let text = profile_entry("smoke", &trace).render();
-        for key in ["\"name\"", "\"executed\"", "\"scanned\"", "\"skipped\""] {
-            assert!(text.contains(key), "{text}");
-        }
     }
 }

@@ -1,10 +1,10 @@
-//! Selectivity estimation and operator cost formulas — the cost model
-//! behind the v2 planner.
+//! Selectivity estimation: the estimates of the planner's ledger and of
+//! the flat pipeline's per-join kernel choice.
 //!
 //! The paper defers the full cost-based optimizer to future work
 //! (Section 5) but names its inputs: posting-list lengths, recursion,
-//! and join selectivities. [`Estimator`] derives all three from the
-//! load-time [`DocStats`]:
+//! and join selectivities. [`Estimator`] derives the cardinalities from
+//! the load-time [`DocStats`]:
 //!
 //! * **posting lengths** from `tag_counts` (exact),
 //! * **recursion** from `recursive_tags` (exact, per tag),
@@ -14,8 +14,8 @@
 //!   tags, an independence assumption (`|a|·|d| / N`) for the long
 //!   tail.
 //!
-//! Costs are in abstract *elements touched* — the unit the operators'
-//! `scanned` counters report — so an estimate and its observed
+//! Cardinalities count elements — the unit the operators' `scanned` and
+//! `output` counters report — so an estimate and its observed
 //! counterpart are directly comparable in `EXPLAIN ANALYZE`.
 
 use crate::decompose::{CutEdge, Decomposition, NokTree};
@@ -24,7 +24,6 @@ use blossom_xml::stats::FREQUENT_TAG_LIMIT;
 use blossom_xml::DocStats;
 use blossom_xpath::ast::NodeTest;
 use blossom_xpath::pattern::EdgeMode;
-use blossom_xml::Axis;
 
 /// Estimates saturate here; keeps `f64 → u64` conversions well away
 /// from both overflow and `u64::MAX` sentinels.
@@ -42,9 +41,7 @@ pub(crate) fn tag_of(test: &NodeTest) -> Option<&str> {
     }
 }
 
-/// Per-component cost table: one estimated cost per applicable
-/// decomposed strategy, plus the cardinalities the costs were derived
-/// from.
+/// Per-component cardinality estimates.
 #[derive(Debug, Clone, Copy)]
 pub struct ComponentCosts {
     /// Estimated anchors of the component root NoK (after its internal
@@ -53,14 +50,6 @@ pub struct ComponentCosts {
     /// Estimated anchors surviving all of the component's cut joins —
     /// the component's output cardinality.
     pub est_output: u64,
-    /// Merged-scan + pipelined //-joins; `None` when the component has
-    /// a non-`//` or optional cut, or a recursive anchor tag (the
-    /// pipelined join's prerequisites, Theorem 2).
-    pub pipelined: Option<u64>,
-    /// Bounded nested loop: per-anchor range probes.
-    pub bounded: u64,
-    /// Naive nested loop: materialized inner per cut.
-    pub naive: u64,
 }
 
 /// A cardinality/cost estimator over one document's statistics.
@@ -163,7 +152,7 @@ impl<'a> Estimator<'a> {
         survival
     }
 
-    /// Cost the decomposed strategies for one cut component (`component`
+    /// Estimate one cut component's anchors and output (`component`
     /// indexes `d.roots`; `comp_of` is [`Decomposition::components`]).
     pub fn component_costs(
         &self,
@@ -171,92 +160,40 @@ impl<'a> Estimator<'a> {
         comp_of: &[usize],
         component: usize,
     ) -> ComponentCosts {
-        let root_nok = d.roots[component].0;
-        let cuts: Vec<&CutEdge> =
-            d.cut_edges.iter().filter(|c| comp_of[c.parent_nok] == component).collect();
-        let members: Vec<usize> =
-            (0..d.noks.len()).filter(|&i| comp_of[i] == component).collect();
-
-        let root = &d.noks[root_nok];
-        let root_posting = self.test_count(&root.pattern.node(root.root()).test);
-        let est_anchors = root_posting * self.nok_survival(root);
-
-        // Pipelined prerequisites, per component: every cut a mandatory
-        // `//`-join and no recursive anchor tag (nested anchors grow the
-        // stream buffers unboundedly).
-        let pipelined_legal = cuts
-            .iter()
-            .all(|c| c.axis == Axis::Descendant && c.mode == EdgeMode::Mandatory)
-            && !members.iter().any(|&i| {
-                let nok = &d.noks[i];
-                match &nok.pattern.node(nok.root()).test {
-                    NodeTest::Name(name) => self.stats.recursive_tags.contains_key(name.as_ref()),
-                    _ => self.stats.recursive,
-                }
-            });
-
-        // Walk the cuts in the engine's execution order (topological,
-        // cheapest child first) so the shrinking `running` cardinality
-        // discounts later joins the same way execution does.
+        let root = &d.noks[d.roots[component].0];
+        let est_anchors =
+            self.test_count(&root.pattern.node(root.root()).test) * self.nok_survival(root);
+        // Discount the anchors by each cut in the engine's execution order
+        // (topological, cheapest child first).
         let mut resolved = vec![false; d.noks.len()];
-        resolved[root_nok] = true;
-        let mut remaining = cuts;
-        let mut pl = root_posting;
-        let mut bn = root_posting;
-        let mut nv = root_posting;
+        resolved[d.roots[component].0] = true;
+        let mut remaining: Vec<&CutEdge> =
+            d.cut_edges.iter().filter(|c| comp_of[c.parent_nok] == component).collect();
+        let root_count = |c: &CutEdge| {
+            let child = &d.noks[c.child_nok];
+            self.test_count(&child.pattern.node(child.root()).test)
+        };
         let mut running = est_anchors;
         while !remaining.is_empty() {
             let pick = remaining
                 .iter()
                 .enumerate()
                 .filter(|(_, c)| resolved[c.parent_nok])
-                .min_by(|(_, a), (_, b)| {
-                    let ka = self.test_count(&d.noks[a.child_nok].pattern.node(d.noks[a.child_nok].root()).test);
-                    let kb = self.test_count(&d.noks[b.child_nok].pattern.node(d.noks[b.child_nok].root()).test);
-                    ka.total_cmp(&kb)
-                })
+                .min_by(|(_, a), (_, b)| root_count(a).total_cmp(&root_count(b)))
                 .map(|(i, _)| i)
                 .expect("cut-edge graph is a forest rooted at the component root");
             let cut = remaining.remove(pick);
             resolved[cut.child_nok] = true;
-
-            let parent_tag = tag_of(&d.noks[cut.parent_nok].pattern.node(cut.parent_node).test);
-            let child = &d.noks[cut.child_nok];
-            let child_test = &child.pattern.node(child.root()).test;
-            let child_posting = self.test_count(child_test);
-            let child_survival = self.nok_survival(child);
-            let child_matches = child_posting * child_survival;
-            // Join pairs that survive the child NoK's internal filters.
-            let join_pairs = self.pairs(parent_tag, child_test) * child_survival;
-
-            // PL scans every child candidate once and touches each pair.
-            pl += child_posting + join_pairs;
-            // BNLJ gallops into the child posting per outer anchor, then
-            // scans the in-range candidates.
-            if cut.axis == Axis::Descendant {
-                bn += running * (1.0 + 2.0 * (1.0 + child_posting).log2())
-                    + join_pairs.min(running * child_matches);
-            } else {
-                // Non-`//` cuts run the naive join regardless.
-                bn += child_posting + running * child_matches;
-            }
-            // Naive materializes the child once, then pairs every outer
-            // anchor against its matches.
-            nv += child_posting + running * child_matches;
-
             if cut.mode == EdgeMode::Mandatory {
-                running *= self.survival(parent_tag, child_test) * child_survival.min(1.0);
+                let parent_tag =
+                    tag_of(&d.noks[cut.parent_nok].pattern.node(cut.parent_node).test);
+                let child = &d.noks[cut.child_nok];
+                running *= self.survival(parent_tag, &child.pattern.node(child.root()).test)
+                    * self.nok_survival(child).min(1.0);
             }
         }
-
         let clamp = |x: f64| x.clamp(0.0, COST_CAP) as u64;
-        ComponentCosts {
-            est_anchors: clamp(est_anchors),
-            est_output: clamp(running),
-            pipelined: pipelined_legal.then(|| clamp(pl + running)),
-            bounded: clamp(bn),
-            naive: clamp(nv),
-        }
+        ComponentCosts { est_anchors: clamp(est_anchors), est_output: clamp(running) }
     }
 }
 
@@ -295,28 +232,5 @@ mod tests {
         let est = Estimator::new(&stats);
         let c = est.component_costs(&d, &d.components(), 0);
         assert_eq!(c.est_output, 0);
-    }
-
-    #[test]
-    fn probe_join_is_cheaper_with_rare_anchors() {
-        // One rare anchor over a sea of `c`s: per-anchor probing must
-        // price far below scanning the `c` posting.
-        let mut xml = String::from("<r><x><c/></x>");
-        for _ in 0..999 {
-            xml.push_str("<q><c/></q>");
-        }
-        xml.push_str("</r>");
-        let (stats, d) = setup(&xml, "//x//c");
-        let est = Estimator::new(&stats);
-        let c = est.component_costs(&d, &d.components(), 0);
-        assert!(c.pipelined.unwrap() > 1000, "PL scans the full c posting");
-        assert!(c.bounded < 100, "BNLJ probes once: {}", c.bounded);
-    }
-
-    #[test]
-    fn recursion_disables_the_pipelined_candidate() {
-        let (stats, d) = setup("<a><a><b/></a></a>", "//a//b");
-        let est = Estimator::new(&stats);
-        assert!(est.component_costs(&d, &d.components(), 0).pipelined.is_none());
     }
 }

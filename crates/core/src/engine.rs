@@ -13,12 +13,12 @@
 //!   crossing-edge joins, extract tuples, construct results. A path
 //!   query has one returning node, so its pipeline runs projected onto
 //!   flat node lists ([`crate::flat`]); under `Auto` a FLWOR runs on flat
-//!   binding tables ([`crate::flwor`]); the forced FLWOR strategies and
-//!   the naive nested loop build NestedLists.
+//!   binding tables ([`crate::flwor`]), or navigationally when it is
+//!   outside their algebra; the forced FLWOR strategies and the naive
+//!   nested loop build NestedLists.
 
 use crate::decompose::{CutEdge, Decomposition};
 use crate::env::{self, EnvError, Tuple};
-use crate::exec::Executor;
 use crate::flat::{FlatPlan, Kernel};
 use crate::flwor::FlworPlan;
 use crate::join::nested_loop::{bounded_nlj, naive_nlj};
@@ -118,8 +118,6 @@ struct PathPlan {
     decomposition: Decomposition,
     /// The resolved `Auto` plan with the cost model's ledger, estimated
     /// against the statistics of the document this entry is keyed by.
-    /// Engines running with [`EngineOptions::cost_based_planner`] off
-    /// take the strategy (it is structural) and ignore the ledger.
     cost_plan: Plan,
     /// The flat operator plan `Pipelined` / `BoundedNestedLoop` run, with
     /// this document's symbols resolved; `Err` says why the query is
@@ -130,8 +128,8 @@ struct PathPlan {
 
 /// A constructor or FLWOR query compiled against one document: its
 /// expression tree with each FLWOR's flat plan held at the FLWOR — `Err`
-/// says why it is outside the flat algebra (under `Auto` it then runs the
-/// NestedList pipeline as a recorded fallback).
+/// says why it is outside the flat algebra (under `Auto` it then runs
+/// navigationally, as a recorded fallback).
 enum QueryPlan {
     Text(String),
     Seq(Vec<QueryPlan>),
@@ -166,21 +164,9 @@ enum CachedPlan {
 /// Tuning knobs for an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineOptions {
-    /// Worker threads for data-parallel NoK scans and FLWOR iteration.
-    /// `1` (the default) keeps evaluation fully sequential; use
-    /// [`crate::exec::available_parallelism`] for the hardware width.
-    /// Results are identical at any thread count.
-    pub threads: usize,
     /// Upper bound on cached query plans; the least-recently-used plan
     /// is evicted when a new query would exceed it.
     pub plan_cache_capacity: usize,
-    /// Let the structural operators gallop past provably joinless input
-    /// (posting-list `skip_to` and NoK stream `skip_past`). `false` forces
-    /// the one-element-at-a-time scans; results are identical either way.
-    /// On by default — this knob exists for benchmarking the skips. A path
-    /// query's flat semi-joins ([`crate::flat`]) do not consult it: each
-    /// gallops or sweeps as its two list lengths say.
-    pub skip_joins: bool,
     /// Collect execution traces: per-operator work counters, strategy
     /// decisions and fallback events, drained per query by
     /// [`Engine::eval_path_traced`] / [`Engine::eval_query_traced`]. Off
@@ -196,27 +182,11 @@ pub struct EngineOptions {
     /// *not* capability errors: `Auto` does not fall back to another
     /// strategy on one — the request is over.
     pub deadline: Option<Instant>,
-    /// Resolve `Auto` with the selectivity-driven cost model
-    /// ([`crate::cost`]): per-component strategy choices for a FLWOR that
-    /// falls back to the NestedList pipeline, overriding the structural
-    /// rules only on a decisive estimated gap, and the estimated-vs-actual
-    /// ledger of every path trace. `false` falls back to the structural
-    /// rules alone (which is all a path query's strategy ever depends
-    /// on). Results are byte-identical either way — only the physical
-    /// plan changes.
-    pub cost_based_planner: bool,
 }
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        EngineOptions {
-            threads: 1,
-            plan_cache_capacity: 256,
-            skip_joins: true,
-            trace: false,
-            deadline: None,
-            cost_based_planner: true,
-        }
+        EngineOptions { plan_cache_capacity: 256, trace: false, deadline: None }
     }
 }
 
@@ -351,19 +321,14 @@ impl SharedPlanCache {
 ///
 /// The document, tag index and statistics are `Arc`-shared: engines built
 /// with [`Engine::with_shared`] are cheap per-request views over the same
-/// immutable loaded document, each with its own thread width, deadline and
-/// trace sink.
+/// immutable loaded document, each with its own deadline and trace sink.
 pub struct Engine {
     doc: Arc<Document>,
     index: Arc<TagIndex>,
     stats: Arc<DocStats>,
-    /// Worker pool configuration for data-parallel evaluation.
-    exec: Executor,
     /// Bounded plan cache for [`Engine::eval_path_str`]; possibly shared
     /// with other engines (see [`SharedPlanCache`]).
     plans: Arc<SharedPlanCache>,
-    /// [`EngineOptions::skip_joins`], threaded to every operator.
-    skip_joins: bool,
     /// The trace collection point; operators record into it only when
     /// `trace` is set (see [`Engine::sink`]).
     obs: TraceSink,
@@ -372,13 +337,11 @@ pub struct Engine {
     /// [`EngineOptions::deadline`], checked cooperatively by
     /// [`Engine::check_deadline`].
     deadline: Option<Instant>,
-    /// [`EngineOptions::cost_based_planner`].
-    cost_based: bool,
 }
 
 impl Engine {
-    /// Load `doc` with default options (sequential evaluation): builds
-    /// the tag index and statistics.
+    /// Load `doc` with default options: builds the tag index and
+    /// statistics.
     pub fn new(doc: Document) -> Engine {
         Engine::with_options(doc, EngineOptions::default())
     }
@@ -414,13 +377,10 @@ impl Engine {
             doc,
             index,
             stats,
-            exec: Executor::new(options.threads),
             plans,
-            skip_joins: options.skip_joins,
             obs: TraceSink::new(),
             trace: options.trace,
             deadline: options.deadline,
-            cost_based: options.cost_based_planner,
         }
     }
 
@@ -451,11 +411,6 @@ impl Engine {
             Some(d) if Instant::now() >= d => Err(EngineError::Deadline),
             _ => Ok(()),
         }
-    }
-
-    /// Worker-thread count this engine evaluates with.
-    pub fn threads(&self) -> usize {
-        self.exec.threads()
     }
 
     /// Is execution tracing ([`EngineOptions::trace`]) on?
@@ -494,11 +449,6 @@ impl Engine {
             }
             None => navigational::eval_path(&self.doc, path, &[]),
         }
-    }
-
-    /// The executor driving data-parallel evaluation.
-    pub fn executor(&self) -> &Executor {
-        &self.exec
     }
 
     /// The underlying document.
@@ -650,19 +600,7 @@ impl Engine {
                 cut.parent_nok, cut.axis, cut.child_nok, cut.mode
             );
         }
-        let (strategy, comps, reason) = if self.cost_based {
-            plan::choose_flwor(&d, &self.stats)
-        } else {
-            let (s, r) = plan::choose_flwor_static(&d, &self.stats);
-            (s, Vec::new(), r)
-        };
-        for c in &comps {
-            let _ = writeln!(
-                out,
-                "  component {}: {} (est anchors {}, est output {}, est cost {})",
-                c.component, c.strategy, c.est_anchors, c.est_output, c.est_cost
-            );
-        }
+        let (strategy, reason) = plan::choose_flwor(&d, &self.stats);
         let _ = writeln!(out, "strategy: {strategy}");
         let _ = writeln!(out, "reason: {reason}");
         match flat {
@@ -670,7 +608,7 @@ impl Engine {
                 let _ = write!(out, "flat plan (auto):\n{plan}");
             }
             Some(Err(why)) => {
-                let _ = writeln!(out, "flat plan: none ({why}); auto runs the strategy above");
+                let _ = writeln!(out, "flat plan: none ({why}); auto runs navigationally");
             }
             None => {}
         }
@@ -898,8 +836,6 @@ impl Engine {
             ops,
             phases,
             cache: self.cache_stats(),
-            threads: self.threads(),
-            skip_joins: self.skip_joins,
             counters_enabled: self.trace,
         }
     }
@@ -953,9 +889,8 @@ impl Engine {
         let (path, bt, d) = (&cached.path, &cached.bt, &cached.decomposition);
         let requested = strategy;
         let auto = requested == Strategy::Auto;
-        // Both planner modes resolve a path query by the same structural
-        // rule; the cost model only adds the ledger of estimates, which an
-        // engine with the cost planner off does not record.
+        // `Auto` resolves a path query by the structural rule; the cost
+        // model only adds the ledger of estimates.
         let mut ledger: &[ComponentPlan] = &[];
         let strategy = if auto {
             let chosen = &cached.cost_plan;
@@ -967,9 +902,7 @@ impl Engine {
                     twigstack_compatible: Some(chosen.twigstack_compatible),
                 });
             }
-            if self.cost_based {
-                ledger = &chosen.components;
-            }
+            ledger = &chosen.components;
             chosen.strategy
         } else {
             if let Some(sink) = self.sink() {
@@ -1071,7 +1004,7 @@ impl Engine {
         phases: &mut PhaseTimings,
     ) -> Result<(Vec<NodeId>, u64), EngineError> {
         let d = &cached.decomposition;
-        let results = self.eval_decomposition(d, joins, None, None)?;
+        let results = self.eval_decomposition(d, joins, None)?;
         let t = Instant::now();
         let out_shape =
             d.shape.by_pattern(cached.bt.returning[0]).expect("query output is returning");
@@ -1111,14 +1044,7 @@ impl Engine {
             // equal to the document node: the anchor set is empty.
             return Ok(Vec::new());
         }
-        let mut m = PathStackMatcher::with_skip(
-            &self.doc,
-            &self.index,
-            &bt.pattern,
-            root,
-            root_axis,
-            self.skip_joins,
-        )?;
+        let mut m = PathStackMatcher::new(&self.doc, &self.index, &bt.pattern, root, root_axis)?;
         m.enable_meter(self.trace);
         m.run();
         let nodes = m.solution_nodes(output);
@@ -1145,14 +1071,7 @@ impl Engine {
             // nothing relative to the document node.
             return Ok(Vec::new());
         }
-        let mut tm = TwigMatcher::with_skip(
-            &self.doc,
-            &self.index,
-            &bt.pattern,
-            root,
-            root_axis,
-            self.skip_joins,
-        )?;
+        let mut tm = TwigMatcher::new(&self.doc, &self.index, &bt.pattern, root, root_axis)?;
         tm.enable_meter(self.trace);
         tm.run();
         let nodes = tm.solution_nodes(output);
@@ -1222,11 +1141,12 @@ impl Engine {
                             });
                             sink.record_fallback(
                                 Strategy::Pipelined,
-                                Strategy::BoundedNestedLoop,
+                                Strategy::Navigational,
                                 format!("outside the flat FLWOR algebra: {why}"),
                             );
+                            sink.record_executed(Strategy::Navigational);
                         }
-                        self.eval_flwor_into(builder, f, strategy)
+                        self.naive_flwor(builder, f)
                     }
                     _ => self.eval_flwor_into(builder, f, strategy),
                 }
@@ -1253,8 +1173,9 @@ impl Engine {
         plan.run(&self.doc, &self.index, builder, self.sink(), &|| self.check_deadline())
     }
 
-    /// Evaluate a FLWOR with the NestedList pipeline (or, navigationally,
-    /// with nested loops) and append each tuple's constructed result.
+    /// Evaluate a FLWOR under a forced strategy with the NestedList
+    /// pipeline (or, navigationally, with nested loops) and append each
+    /// tuple's constructed result.
     fn eval_flwor_into(
         &self,
         builder: &mut blossom_xml::TreeBuilder,
@@ -1291,58 +1212,16 @@ impl Engine {
             }
             return self.naive_flwor(builder, flwor);
         }
-        let bt = match BlossomTree::from_flwor(flwor) {
-            Ok(bt) => bt,
-            Err(BlossomError::Unsupported(what)) if strategy == Strategy::Auto => {
-                // Outside the BlossomTree subset: fall back to the naive
-                // evaluator.
-                if let Some(sink) = self.sink() {
-                    sink.record_fallback(
-                        strategy,
-                        Strategy::Navigational,
-                        format!("outside the BlossomTree subset: {what}"),
-                    );
-                    sink.record_executed(Strategy::Navigational);
-                }
-                return self.naive_flwor(builder, flwor);
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let bt = BlossomTree::from_flwor(flwor)?;
         let d = Decomposition::decompose(&bt);
-        let mut cplans: Option<Vec<ComponentPlan>> = None;
-        let strategy = match strategy {
-            Strategy::Auto => {
-                let (resolved, comps, reason) = if self.cost_based {
-                    plan::choose_flwor(&d, &self.stats)
-                } else {
-                    let (s, r) = plan::choose_flwor_static(&d, &self.stats);
-                    (s, Vec::new(), r)
-                };
-                if let Some(sink) = self.sink() {
-                    sink.record_plan(PlanDecision {
-                        requested: Strategy::Auto,
-                        resolved,
-                        reason,
-                        twigstack_compatible: Some(plan::twigstack_compatible(&d)),
-                    });
-                }
-                if self.cost_based {
-                    cplans = Some(comps);
-                }
-                resolved
-            }
-            s => {
-                if let Some(sink) = self.sink() {
-                    sink.record_plan(PlanDecision {
-                        requested: s,
-                        resolved: s,
-                        reason: "explicitly requested".into(),
-                        twigstack_compatible: Some(plan::twigstack_compatible(&d)),
-                    });
-                }
-                s
-            }
-        };
+        if let Some(sink) = self.sink() {
+            sink.record_plan(PlanDecision {
+                requested: strategy,
+                resolved: strategy,
+                reason: "explicitly requested".into(),
+                twigstack_compatible: Some(plan::twigstack_compatible(&d)),
+            });
+        }
         // Tuple extraction is per for-variable; a for-variable nested under
         // a let-bound (optional) position cannot be unnested from grouped
         // NestedLists — evaluate such queries with the naive engine.
@@ -1379,39 +1258,28 @@ impl Engine {
         if let Some(sink) = self.sink() {
             sink.record_executed(strategy);
         }
-        let results =
-            self.eval_decomposition(&d, strategy, Some(&for_positions), cplans.as_deref())?;
+        let results = self.eval_decomposition(&d, strategy, Some(&for_positions))?;
         self.check_deadline()?;
-        // Parallel for-clause iteration, step 1: the per-anchor
-        // NestedLists are chunked across workers, each unnesting its
-        // chunk into tuples independently; ordered collection keeps the
-        // tuple sequence identical to a sequential pass. Cross products
+        // Unnest the per-anchor NestedLists into tuples. Cross products
         // can explode combinatorially (one NestedList can expand to
         // |a|×|b|×|c| tuples), so the deadline is polled *inside* the
         // expansion — without it a runaway enumeration is uncancellable
         // (it allocates until memory runs out).
-        let per_worker: Vec<Result<Vec<Tuple>, EngineError>> =
-            self.exec.map_chunks(&results, |chunk| {
-                let mut out = Vec::new();
-                for nl in chunk {
-                    match env::try_enumerate_tuples(nl, &for_positions, &|| {
-                        self.check_deadline().is_ok()
-                    }) {
-                        Some(tuples) => out.extend(tuples),
-                        None => return Err(EngineError::Deadline),
-                    }
-                }
-                Ok(out)
-            });
-        let per_worker: Vec<Vec<Tuple>> = per_worker.into_iter().collect::<Result<_, _>>()?;
+        let mut tuples: Vec<Tuple> = Vec::new();
+        for nl in &results {
+            let expanded =
+                env::try_enumerate_tuples(nl, &for_positions, &|| self.check_deadline().is_ok())
+                    .ok_or(EngineError::Deadline)?;
+            tuples.extend(expanded);
+        }
         if let Some(sink) = self.sink() {
-            // Per-worker tuple counts, merged here at concat time.
-            let mut c = OpCounters::default();
-            c.scanned = results.len() as u64;
-            c.output = per_worker.iter().map(|w| w.len() as u64).sum();
+            let c = OpCounters {
+                scanned: results.len() as u64,
+                output: tuples.len() as u64,
+                ..OpCounters::default()
+            };
             sink.record_op("flwor-tuples", c);
         }
-        let mut tuples: Vec<Tuple> = per_worker.into_iter().flatten().collect();
         // Joins and products combine components group by group, which is
         // not always the `for` nesting order (three components with a
         // predicate between the outer two, or a component's `for`
@@ -1444,37 +1312,9 @@ impl Engine {
                 .collect();
             env::order_tuples(&self.doc, &mut tuples, &keys);
         }
-        // Step 2: construction. Each worker builds its tuple chunk into a
-        // private fragment document (evaluating the correlated inner
-        // paths of the return clause independently); fragments are then
-        // spliced into the result builder in tuple order, so the output
-        // is byte-identical to sequential construction.
-        if self.exec.threads() > 1 && tuples.len() > 1 {
-            let fragments = self.exec.map_chunks(
-                &tuples,
-                |chunk: &[Tuple]| -> Result<Document, EngineError> {
-                    let mut fragment = Document::builder();
-                    fragment.start_element("fragment");
-                    for tuple in chunk {
-                        self.check_deadline()?;
-                        env::construct(&mut fragment, &self.doc, &d.shape, tuple, &flwor.ret)?;
-                    }
-                    fragment.end_element();
-                    Ok(fragment.finish())
-                },
-            );
-            for fragment in fragments {
-                let fragment = fragment?;
-                let wrapper = fragment.root_element().expect("fragment wrapper element");
-                for child in fragment.children(wrapper) {
-                    env::copy_subtree(builder, &fragment, child);
-                }
-            }
-        } else {
-            for tuple in &tuples {
-                self.check_deadline()?;
-                env::construct(builder, &self.doc, &d.shape, tuple, &flwor.ret)?;
-            }
+        for tuple in &tuples {
+            self.check_deadline()?;
+            env::construct(builder, &self.doc, &d.shape, tuple, &flwor.ret)?;
         }
         Ok(())
     }
@@ -1487,118 +1327,29 @@ impl Engine {
     /// `let`-only and their matches collapse into a single grouped
     /// NestedList before any join, so they bind a whole sequence per
     /// tuple instead of multiplying the tuple count.
-    ///
-    /// `cplans` (cost-based `Auto` resolutions only) carries one
-    /// [`ComponentPlan`] per component: each component runs its own
-    /// strategy (overriding `strategy`), and its estimated-vs-actual
-    /// cardinalities are recorded as the trace's estimate rows.
     fn eval_decomposition(
         &self,
         d: &Decomposition,
         strategy: Strategy,
         for_positions: Option<&FxHashSet<ShapeId>>,
-        cplans: Option<&[ComponentPlan]>,
     ) -> Result<Vec<NestedList>, EngineError> {
         // Component id per NoK (roots start components; cut edges attach).
         let comp_of = d.components();
-        // Defensive: per-component dispatch needs exactly one plan per
-        // component; anything else degrades to uniform dispatch.
-        let cplans = cplans.filter(|c| c.len() == d.roots.len());
         let matchers: Vec<NokMatcher<'_>> = d
             .noks
             .iter()
             .map(|nok| {
-                NokMatcher::with_skip(
-                    &self.doc,
-                    nok,
-                    d.shape.clone(),
-                    Some(&self.index),
-                    self.skip_joins,
-                )
-                .with_trace_sink(self.sink())
+                NokMatcher::new(&self.doc, nok, d.shape.clone(), Some(&self.index))
+                    .with_trace_sink(self.sink())
             })
             .collect();
 
-        // Evaluate each component — in parallel when there are several
-        // (Example 1's two //book iterations scan concurrently).
-        let component_results: Vec<Result<Vec<NestedList>, EngineError>> =
-            if d.roots.len() > 1 {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = d
-                        .roots
-                        .iter()
-                        .enumerate()
-                        .map(|(ci, &(root_nok, root_axis))| {
-                            let cuts: Vec<&CutEdge> = d
-                                .cut_edges
-                                .iter()
-                                .filter(|c| comp_of[c.child_nok] == ci)
-                                .collect();
-                            let matchers = &matchers;
-                            scope.spawn(move || {
-                                self.eval_component(
-                                    d,
-                                    matchers,
-                                    root_nok,
-                                    root_axis,
-                                    &cuts,
-                                    cplans.map_or(strategy, |c| c[ci].strategy),
-                                )
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("component worker panicked"))
-                        .collect()
-                })
-            } else {
-                d.roots
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, &(root_nok, root_axis))| {
-                        let cuts: Vec<&CutEdge> = d
-                            .cut_edges
-                            .iter()
-                            .filter(|c| comp_of[c.child_nok] == ci)
-                            .collect();
-                        self.eval_component(
-                            d,
-                            &matchers,
-                            root_nok,
-                            root_axis,
-                            &cuts,
-                            cplans.map_or(strategy, |c| c[ci].strategy),
-                        )
-                    })
-                    .collect()
-            };
         let mut groups: Vec<(FxHashSet<usize>, Vec<NestedList>)> = Vec::new();
-        let mut actuals: Vec<u64> = Vec::with_capacity(d.roots.len());
-        for (ci, results) in component_results.into_iter().enumerate() {
-            let results = results?;
-            actuals.push(results.len() as u64);
-            let mut set = FxHashSet::default();
-            set.insert(ci);
-            groups.push((set, results));
-        }
-        // Estimated vs actual, per component (first recording wins, so
-        // inner evaluations never overwrite the top-level query's rows).
-        if let (Some(cps), Some(sink)) = (cplans, self.sink()) {
-            sink.record_estimates(
-                cps.iter()
-                    .zip(&actuals)
-                    .map(|(cp, &actual)| EstimateRecord {
-                        component: cp.component,
-                        strategy: cp.strategy,
-                        est_anchors: cp.est_anchors,
-                        est_output: cp.est_output,
-                        est_cost: cp.est_cost,
-                        actual_output: Some(actual),
-                        replanned: false,
-                    })
-                    .collect(),
-            );
+        for (ci, &(root_nok, root_axis)) in d.roots.iter().enumerate() {
+            let cuts: Vec<&CutEdge> =
+                d.cut_edges.iter().filter(|c| comp_of[c.child_nok] == ci).collect();
+            let results = self.eval_component(d, &matchers, root_nok, root_axis, &cuts, strategy)?;
+            groups.push((FxHashSet::from_iter([ci]), results));
         }
 
         // Collapse `let`-only components: a `let` binds its entire match
@@ -1756,26 +1507,16 @@ impl Engine {
                 };
                 for cut in cuts {
                     let right = matchers[cut.child_nok].stream();
-                    let mut join = PipelinedJoin::with_skip(
-                        &self.doc,
-                        current,
-                        right,
-                        &d.noks,
-                        cut,
-                        self.skip_joins,
-                    );
+                    let mut join = PipelinedJoin::new(&self.doc, current, right, &d.noks, cut);
                     join.set_trace_sink(self.sink());
                     current = Box::new(join);
                 }
                 Ok(current.map(|(_, nl)| nl).collect())
             }
             Strategy::BoundedNestedLoop | Strategy::NaiveNestedLoop => {
-                // The root anchors' scan is the data-parallel part:
-                // partitioned over disjoint anchor ranges, concatenated
-                // back in document order (identical to the sequential
-                // stream at any thread count).
+                let last = NodeId(self.doc.len() as u32 - 1);
                 let mut left: Vec<NestedList> = matchers[root_nok]
-                    .par_scan_entries(&self.exec)
+                    .scan_range_entries(NodeId(1), last)
                     .into_iter()
                     .filter(|&(a, _)| level_ok(a))
                     .map(|(_, nl)| nl)
@@ -2556,40 +2297,21 @@ mod plan_cache_tests {
     }
 
     #[test]
-    fn static_engines_ignore_the_cached_cost_plan() {
-        // A cache entry holds the cost-based resolution with its ledger
-        // of estimates; an engine with the cost planner off records none.
-        let doc = Arc::new(Document::parse_str(&skewed(999)).unwrap());
-        let index = Arc::new(TagIndex::build(&doc));
-        let stats = Arc::new(doc.stats());
-        let cost = Engine::with_shared(
-            doc.clone(),
-            index.clone(),
-            stats.clone(),
-            Arc::new(SharedPlanCache::new(8)),
+    fn cached_path_plans_carry_the_estimate_ledger() {
+        // A cache entry holds the structural resolution with its ledger of
+        // estimates; a hit records the same ledger as the miss did.
+        let engine = Engine::with_options(
+            Document::parse_str(&skewed(999)).unwrap(),
             EngineOptions { trace: true, ..EngineOptions::default() },
         );
-        let cache = cost.plan_cache();
-        let (_, t) = cost.eval_path_traced("//x//c", Strategy::Auto).unwrap();
-        assert_eq!(t.estimates.len(), 1, "{:?}", t.estimates);
-        assert_eq!(t.estimates[0].actual_output, Some(1));
-        assert!(t.plan_reason.contains("estimated"), "{}", t.plan_reason);
-        let fixed = Engine::with_shared(
-            doc,
-            index,
-            stats,
-            cache,
-            EngineOptions {
-                trace: true,
-                cost_based_planner: false,
-                ..EngineOptions::default()
-            },
-        );
-        // Same document, same cache entry: the strategy is structural,
-        // the ledger stays behind.
-        let (_, t) = fixed.eval_path_traced("//x//c", Strategy::Auto).unwrap();
-        assert_eq!(t.resolved, Strategy::Pipelined, "{}", t.plan_reason);
-        assert!(t.estimates.is_empty(), "{:?}", t.estimates);
+        for _ in 0..2 {
+            let (_, t) = engine.eval_path_traced("//x//c", Strategy::Auto).unwrap();
+            assert_eq!(t.resolved, Strategy::Pipelined, "{}", t.plan_reason);
+            assert!(t.plan_reason.contains("estimated"), "{}", t.plan_reason);
+            assert_eq!(t.estimates.len(), 1, "{:?}", t.estimates);
+            assert_eq!(t.estimates[0].actual_output, Some(1));
+        }
+        assert_eq!(engine.cache_stats().hits, 1);
     }
 }
 
@@ -2749,66 +2471,6 @@ mod deadline_tests {
 }
 
 #[cfg(test)]
-mod parallel_engine_tests {
-    use super::*;
-    use blossom_xml::writer;
-
-    /// A document big enough that every thread count actually splits the
-    /// anchor stream into multiple partitions.
-    fn wide_doc() -> String {
-        let mut s = String::from("<bib>");
-        for i in 0..200 {
-            s.push_str(&format!(
-                "<book><title>t{i}</title><author>a{}</author></book>",
-                i % 7
-            ));
-        }
-        s.push_str("</bib>");
-        s
-    }
-
-    #[test]
-    fn parallel_engine_matches_sequential_paths() {
-        let xml = wide_doc();
-        let seq = Engine::from_xml(&xml).unwrap();
-        for threads in [2, 4, 8] {
-            let par = Engine::with_options(
-                Document::parse_str(&xml).unwrap(),
-                EngineOptions { threads, ..EngineOptions::default() },
-            );
-            assert_eq!(par.threads(), threads);
-            for q in ["//book/title", "//book[author]/title", "//book//author"] {
-                for s in [Strategy::BoundedNestedLoop, Strategy::NaiveNestedLoop] {
-                    let expected = seq.eval_path_str(q, s).unwrap();
-                    let got = par.eval_path_str(q, s).unwrap();
-                    assert_eq!(got, expected, "query {q} strategy {s} threads {threads}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_flwor_output_is_byte_identical() {
-        let xml = wide_doc();
-        let query = "for $b in //book where $b/author = \"a3\" \
-                     return <hit>{$b/title}</hit>";
-        let seq = Engine::from_xml(&xml).unwrap();
-        let expected =
-            writer::to_string(&seq.eval_query_str(query, Strategy::Auto).unwrap());
-        assert!(expected.contains("<hit>"));
-        for threads in [2, 4, 8] {
-            let par = Engine::with_options(
-                Document::parse_str(&xml).unwrap(),
-                EngineOptions { threads, ..EngineOptions::default() },
-            );
-            let got =
-                writer::to_string(&par.eval_query_str(query, Strategy::Auto).unwrap());
-            assert_eq!(got, expected, "threads {threads}");
-        }
-    }
-}
-
-#[cfg(test)]
 mod sort_order_tests {
     use super::*;
     use blossom_xml::writer;
@@ -2914,23 +2576,26 @@ mod estimate_tests {
     }
 
     /// A FLWOR outside the flat algebra (here a context-relative path in
-    /// `return`) runs the NestedList pipeline under `Auto`, which records
-    /// one estimated-vs-actual row per component.
+    /// `return`) runs navigationally under `Auto`: one fallback from the
+    /// flat plan, carrying the flat compiler's reason, and no NestedList
+    /// operator rows.
     #[test]
-    fn flwor_traces_carry_per_component_estimates() {
+    fn flwor_outside_the_flat_algebra_runs_navigationally() {
         let engine = Engine::with_options(
             Document::parse_str("<r><x><c/></x><q/><q/></r>").unwrap(),
             EngineOptions { trace: true, ..EngineOptions::default() },
         );
         let query = "for $a in //x//c, $b in //q return <p>{$a}{c}</p>";
         let (out, trace) = engine.eval_query_traced(query, Strategy::Auto).unwrap();
+        assert_eq!(trace.resolved, Strategy::Pipelined);
+        assert_eq!(trace.executed, Strategy::Navigational);
         assert_eq!(trace.fallbacks.len(), 1, "{:?}", trace.fallbacks);
+        assert_eq!(trace.fallbacks[0].to, Strategy::Navigational);
         assert!(trace.fallbacks[0].reason.contains("context-relative"), "{:?}", trace.fallbacks);
-        assert_eq!(trace.estimates.len(), 2, "{:?}", trace.estimates);
-        assert!(trace.estimates.iter().all(|e| e.actual_output.is_some()));
-        assert_eq!(trace.estimates[0].actual_output, Some(1));
-        assert_eq!(trace.estimates[1].actual_output, Some(2));
+        assert!(trace.estimates.is_empty(), "{:?}", trace.estimates);
+        assert!(trace.ops.iter().all(|o| o.op == "navigational"), "{:?}", trace.ops);
         let nav = engine.eval_query_str(query, Strategy::Navigational).unwrap();
+        assert_eq!(blossom_xml::writer::to_string(&out), "<result><p><c/></p><p><c/></p></result>");
         assert_eq!(blossom_xml::writer::to_string(&out), blossom_xml::writer::to_string(&nav));
     }
 

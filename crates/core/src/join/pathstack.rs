@@ -44,36 +44,20 @@ pub struct PathStackMatcher<'d> {
     slots: Vec<Slot>,
     stacks: Vec<Vec<Entry>>,
     participants: Vec<FxHashSet<NodeId>>,
-    /// Gallop past unpushable stream prefixes instead of discarding one
-    /// element at a time.
-    skip: bool,
     /// Work counters ([`crate::obs`]); off by default.
     meter: Meter,
 }
 
 impl<'d> PathStackMatcher<'d> {
-    /// Build with stream skipping enabled (see [`Self::with_skip`]).
+    /// Build for the chain rooted at `component_root`. Fails with
+    /// [`TwigError`] on non-chain patterns or constructs without tag
+    /// streams.
     pub fn new(
         doc: &'d Document,
         index: &TagIndex,
         pattern: &PatternTree,
         component_root: PatternNodeId,
         root_axis: Axis,
-    ) -> Result<Self, TwigError> {
-        Self::with_skip(doc, index, pattern, component_root, root_axis, true)
-    }
-
-    /// Build for the chain rooted at `component_root`. Fails with
-    /// [`TwigError`] on non-chain patterns or constructs without tag
-    /// streams. `skip` selects galloped vs one-at-a-time discarding;
-    /// results are identical either way.
-    pub fn with_skip(
-        doc: &'d Document,
-        index: &TagIndex,
-        pattern: &PatternTree,
-        component_root: PatternNodeId,
-        root_axis: Axis,
-        skip: bool,
     ) -> Result<Self, TwigError> {
         let mut slots = Vec::new();
         let mut current = Some((component_root, root_axis));
@@ -127,7 +111,6 @@ impl<'d> PathStackMatcher<'d> {
             slots,
             stacks: (0..n).map(|_| Vec::new()).collect(),
             participants: (0..n).map(|_| FxHashSet::default()).collect(),
-            skip,
             meter: Meter::off(),
         })
     }
@@ -199,7 +182,7 @@ impl<'d> PathStackMatcher<'d> {
                 }
                 self.slots[q_min].cursor += 1;
                 self.meter.scanned(1);
-            } else if self.skip {
+            } else {
                 // Slot q_min's elements can only be pushed once slot
                 // q_min-1's stack is non-empty, which requires processing
                 // its next head first. Everything in this stream strictly
@@ -215,9 +198,6 @@ impl<'d> PathStackMatcher<'d> {
                 };
                 let leapt = (s.cursor - before) as u64;
                 self.meter.skipped(leapt);
-            } else {
-                self.slots[q_min].cursor += 1;
-                self.meter.scanned(1);
             }
         }
     }

@@ -88,9 +88,6 @@ where
     /// One-item lookahead on the right stream.
     right_peek: Option<StreamItem>,
     exhausted_right: bool,
-    /// Let the right stream gallop past discarded prefixes instead of
-    /// pulling and rejecting one item at a time.
-    skip: bool,
     /// Work counters ([`crate::obs`]); off by default.
     meter: Meter,
     /// Where the counters are flushed on drop (joins are consumed inside
@@ -103,27 +100,14 @@ where
     L: Iterator<Item = StreamItem>,
     R: SkipStream,
 {
-    /// Build the join for one cut edge with stream skipping enabled.
-    /// `noks` resolves the edge's shape positions.
+    /// Build the join for one cut edge. `noks` resolves the edge's shape
+    /// positions.
     pub fn new(
         doc: &'d Document,
         left: L,
         right: R,
         noks: &[NokTree],
         cut: &CutEdge,
-    ) -> Self {
-        Self::with_skip(doc, left, right, noks, cut, true)
-    }
-
-    /// [`PipelinedJoin::new`] with explicit control over right-stream
-    /// skipping. Results are identical either way.
-    pub fn with_skip(
-        doc: &'d Document,
-        left: L,
-        right: R,
-        noks: &[NokTree],
-        cut: &CutEdge,
-        skip: bool,
     ) -> Self {
         let (parent_shape, child_shape) = super::nested_loop::cut_shapes(noks, cut);
         debug_assert_eq!(cut.axis, blossom_xml::Axis::Descendant);
@@ -138,7 +122,6 @@ where
             peak_buffer: 0,
             right_peek: None,
             exhausted_right: false,
-            skip,
             meter: Meter::off(),
             sink: None,
         }
@@ -193,7 +176,7 @@ where
         // Everything the loop below would discard (anchor <= outer) can be
         // skipped wholesale at the stream level — a NokStream gallops its
         // candidate list without running a single pattern match.
-        if self.skip && self.right_peek.is_none() && !self.exhausted_right {
+        if self.right_peek.is_none() && !self.exhausted_right {
             let leapt = self.right.skip_past(outer);
             self.meter.skipped(leapt);
         }

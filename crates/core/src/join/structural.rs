@@ -4,7 +4,6 @@
 //! parent-child) relationship in one merge pass, using a stack of nested
 //! ancestors. Output pairs are sorted by the descendant's document order.
 
-use crate::obs::Meter;
 use blossom_xml::index::PostingList;
 use blossom_xml::{Document, NodeId};
 
@@ -73,38 +72,19 @@ pub fn stack_tree_join(
 }
 
 /// Stack-tree-desc over skip-enabled posting lists. Region `end`s come
-/// from the inline label columns (no arena access in the merge), and with
-/// `skip` on, both inputs gallop past their provably joinless prefixes —
-/// but only when the merge actually stalls, so the dense case pays
-/// nothing: an ancestor that closes before the current descendant while
-/// the stack is empty starts a dead prefix (skipped via the block
-/// max-end summary), and a descendant left without a stack entry
-/// precedes every remaining ancestor region (skipped via a start
-/// gallop). Output is identical to [`stack_tree_join`] pair for pair, in
-/// the same order.
+/// from the inline label columns (no arena access in the merge), and both
+/// inputs gallop past their provably joinless prefixes — but only when
+/// the merge actually stalls, so the dense case pays nothing: an ancestor
+/// that closes before the current descendant while the stack is empty
+/// starts a dead prefix (skipped via the block max-end summary), and a
+/// descendant left without a stack entry precedes every remaining
+/// ancestor region (skipped via a start gallop). Output is identical to
+/// [`stack_tree_join`] pair for pair, in the same order.
 pub fn stack_tree_join_postings(
     doc: &Document,
     ancestors: &PostingList,
     descendants: &PostingList,
     rel: StructRel,
-    skip: bool,
-) -> Vec<(NodeId, NodeId)> {
-    let mut meter = Meter::off();
-    stack_tree_join_postings_metered(doc, ancestors, descendants, rel, skip, &mut meter)
-}
-
-/// [`stack_tree_join_postings`] with work counting ([`crate::obs`]):
-/// elements advanced one at a time land in `scanned`, elements leapt
-/// over by the two gallop sites in `skipped`, stack pushes in `pushes`,
-/// and emitted pairs in `matches`/`output`. Pass [`Meter::off`] to make
-/// every bump a no-op.
-pub fn stack_tree_join_postings_metered(
-    doc: &Document,
-    ancestors: &PostingList,
-    descendants: &PostingList,
-    rel: StructRel,
-    skip: bool,
-    meter: &mut Meter,
 ) -> Vec<(NodeId, NodeId)> {
     let mut out = Vec::new();
     // (node, region end) — ends ride along so pops never touch the arena.
@@ -117,13 +97,11 @@ pub fn stack_tree_join_postings_metered(
         while ai < ancestors.len() && ancestors.start(ai).0 < d.0 {
             let a = ancestors.start(ai);
             let a_end = ancestors.end(ai);
-            if skip && a_end < d.0 && stack.is_empty() {
+            if a_end < d.0 && stack.is_empty() {
                 // Dead prefix: with nothing on the stack, ancestors whose
                 // subtree closes before d contain neither d nor anything
                 // after it. Leap to the first that is still open at d.
-                let before = ai;
                 ai = ancestors.skip_to_end(ai + 1, d.0);
-                meter.skipped((ai - before) as u64);
                 continue;
             }
             // Pop ancestors whose region ended before a starts.
@@ -135,9 +113,7 @@ pub fn stack_tree_join_postings_metered(
                 }
             }
             stack.push((a, a_end));
-            meter.pushes(1);
             ai += 1;
-            meter.scanned(1);
         }
         // Pop ancestors whose region ended before d.
         while let Some(&(_, top_end)) = stack.last() {
@@ -148,30 +124,22 @@ pub fn stack_tree_join_postings_metered(
             }
         }
         if stack.is_empty() {
-            if skip {
-                // d has no containing ancestor, and every ancestor that
-                // starts before it has been consumed — descendants up to
-                // the next ancestor's start are equally joinless. Only
-                // gallop when the next descendant hasn't already cleared
-                // that bound (the common self-join case advances by one).
-                if ai >= ancestors.len() {
-                    break;
-                }
-                let bound = ancestors.start(ai).0;
-                di += 1;
-                meter.scanned(1);
-                // Strict `<`: a descendant starting exactly at `bound` is
-                // the next ancestor element itself (self-join streams) and
-                // the regular loop discards it in one compare — galloping
-                // there would pay probe cost to move a single step.
-                if di < descendants.len() && descendants.start(di).0 < bound {
-                    let before = di;
-                    di = descendants.skip_to(di, bound);
-                    meter.skipped((di - before) as u64);
-                }
-            } else {
-                di += 1;
-                meter.scanned(1);
+            // d has no containing ancestor, and every ancestor that
+            // starts before it has been consumed — descendants up to the
+            // next ancestor's start are equally joinless. Only gallop when
+            // the next descendant hasn't already cleared that bound (the
+            // common self-join case advances by one).
+            if ai >= ancestors.len() {
+                break;
+            }
+            let bound = ancestors.start(ai).0;
+            di += 1;
+            // Strict `<`: a descendant starting exactly at `bound` is the
+            // next ancestor element itself (self-join streams) and the
+            // regular loop discards it in one compare — galloping there
+            // would pay probe cost to move a single step.
+            if di < descendants.len() && descendants.start(di).0 < bound {
+                di = descendants.skip_to(di, bound);
             }
             continue;
         }
@@ -187,10 +155,7 @@ pub fn stack_tree_join_postings_metered(
             }
         }
         di += 1;
-        meter.scanned(1);
     }
-    meter.matches(out.len() as u64);
-    meter.output(out.len() as u64);
     out
 }
 
@@ -275,16 +240,8 @@ mod tests {
         let b = doc.sym("b").unwrap();
         for rel in [StructRel::AncestorDescendant, StructRel::ParentChild] {
             let base = stack_tree_join(&doc, idx.stream(a), idx.stream(b), rel);
-            for skip in [false, true] {
-                let got = stack_tree_join_postings(
-                    &doc,
-                    idx.postings(a),
-                    idx.postings(b),
-                    rel,
-                    skip,
-                );
-                assert_eq!(got, base, "rel {rel:?} skip {skip}");
-            }
+            let got = stack_tree_join_postings(&doc, idx.postings(a), idx.postings(b), rel);
+            assert_eq!(got, base, "rel {rel:?}");
         }
     }
 

@@ -78,38 +78,21 @@ pub struct TwigMatcher<'d> {
     stacks: Vec<Vec<StackEntry>>,
     /// Per slot: nodes that appeared in some path solution.
     participants: Vec<FxHashSet<NodeId>>,
-    /// Gallop over stream segments instead of advancing one element at a
-    /// time (the XB-tree skip).
-    skip: bool,
     /// Work counters ([`crate::obs`]); off by default.
     meter: Meter,
 }
 
 impl<'d> TwigMatcher<'d> {
-    /// Build the matcher with stream skipping enabled (see
-    /// [`Self::with_skip`]).
+    /// Build the matcher for the component of `pattern` rooted at
+    /// `component_root` (a child of the virtual root). `root_axis` is the
+    /// axis from the document root (`/` restricts the root stream to
+    /// depth-1 elements).
     pub fn new(
         doc: &'d Document,
         index: &TagIndex,
         pattern: &PatternTree,
         component_root: PatternNodeId,
         root_axis: Axis,
-    ) -> Result<Self, TwigError> {
-        Self::with_skip(doc, index, pattern, component_root, root_axis, true)
-    }
-
-    /// Build the matcher for the component of `pattern` rooted at
-    /// `component_root` (a child of the virtual root). `root_axis` is the
-    /// axis from the document root (`/` restricts the root stream to
-    /// depth-1 elements). `skip` selects galloped vs one-at-a-time stream
-    /// advancement; results are identical either way.
-    pub fn with_skip(
-        doc: &'d Document,
-        index: &TagIndex,
-        pattern: &PatternTree,
-        component_root: PatternNodeId,
-        root_axis: Axis,
-        skip: bool,
     ) -> Result<Self, TwigError> {
         let mut slots: Vec<Slot> = Vec::new();
         // DFS flatten, skipping attribute children (they prefilter their
@@ -200,7 +183,6 @@ impl<'d> TwigMatcher<'d> {
             slots,
             stacks: (0..n).map(|_| Vec::new()).collect(),
             participants: (0..n).map(|_| FxHashSet::default()).collect(),
-            skip,
             meter: Meter::off(),
         })
     }
@@ -222,11 +204,6 @@ impl<'d> TwigMatcher<'d> {
     fn next_l(&self, q: usize) -> u32 {
         let s = &self.slots[q];
         if s.cursor < s.stream.len() { s.stream.start(s.cursor).0 } else { INF }
-    }
-
-    fn next_r(&self, q: usize) -> u32 {
-        let s = &self.slots[q];
-        if s.cursor < s.stream.len() { s.stream.end(s.cursor) } else { INF }
     }
 
     fn advance(&mut self, q: usize) {
@@ -262,20 +239,14 @@ impl<'d> TwigMatcher<'d> {
             n_max_l = n_max_l.max(self.next_l(qi));
         }
         // Skip q-elements that end before the farthest child head begins
-        // (they cannot contain all the children's heads). With skipping
-        // on, this leaps over whole stream segments via the block max-end
-        // summary instead of testing every element.
-        if self.skip {
-            let s = &mut self.slots[q];
-            let before = s.cursor;
-            s.cursor = s.stream.skip_to_end(s.cursor, n_max_l);
-            let leapt = (s.cursor - before) as u64;
-            self.meter.skipped(leapt);
-        } else {
-            while self.next_r(q) < n_max_l {
-                self.advance(q);
-            }
-        }
+        // (they cannot contain all the children's heads): one leap over
+        // whole stream segments via the block max-end summary (the
+        // XB-tree skip) instead of testing every element.
+        let s = &mut self.slots[q];
+        let before = s.cursor;
+        s.cursor = s.stream.skip_to_end(s.cursor, n_max_l);
+        let leapt = (s.cursor - before) as u64;
+        self.meter.skipped(leapt);
         if self.next_l(q) < self.next_l(n_min) {
             q
         } else {

@@ -35,7 +35,6 @@ pub mod cost;
 pub mod decompose;
 pub mod engine;
 pub mod env;
-pub mod exec;
 pub mod flat;
 pub mod flwor;
 pub mod join;
@@ -54,7 +53,6 @@ pub mod value;
 
 pub use decompose::{CutEdge, Decomposition, NokTree};
 pub use engine::{CacheStats, Engine, EngineError, EngineOptions, SharedPlanCache};
-pub use exec::Executor;
 pub use update::{apply_mutations, UpdateError, UpdatedDoc};
 pub use nestedlist::{NestedList, NlNode};
 pub use nok::NokMatcher;

@@ -12,56 +12,9 @@
 use crate::decompose::NokTree;
 use crate::nestedlist::NestedList;
 use crate::nok::NokMatcher;
-use crate::obs::OpCounters;
 use crate::shape::Shape;
 use blossom_xml::{Document, NodeId};
 use std::sync::Arc;
-
-/// Concatenate per-partition match sequences back into one
-/// document-order sequence. Partitions come from contiguous, ascending,
-/// disjoint anchor-id ranges (see `NokMatcher::par_scan`), so document
-/// order is restored by plain concatenation; the debug assertion
-/// certifies the partitioning invariant at every seam.
-#[inline]
-pub fn concat_partitions(
-    partitions: Vec<Vec<(NodeId, NestedList)>>,
-) -> Vec<(NodeId, NestedList)> {
-    // Debug-only seam check, allocation-free: within a partition anchors
-    // ascend by construction of the scan, so it suffices that each seam
-    // (last anchor of one partition, first of the next) also ascends.
-    debug_assert!(
-        partitions
-            .iter()
-            .all(|p| p.windows(2).all(|w| w[0].0 < w[1].0))
-            && partitions
-                .iter()
-                .filter(|p| !p.is_empty())
-                .zip(partitions.iter().filter(|p| !p.is_empty()).skip(1))
-                .all(|(a, b)| a.last().unwrap().0 < b.first().unwrap().0),
-        "partitions must be disjoint and ascending"
-    );
-    let total = partitions.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for partition in partitions {
-        out.extend(partition);
-    }
-    out
-}
-
-/// [`concat_partitions`] for traced partitioned scans: per-worker
-/// [`OpCounters`] ride along with each partition and are summed into a
-/// single per-operator total at the concatenation point.
-pub fn concat_partitions_counted(
-    partitions: Vec<(Vec<(NodeId, NestedList)>, OpCounters)>,
-) -> (Vec<(NodeId, NestedList)>, OpCounters) {
-    let mut total = OpCounters::default();
-    let mut entries = Vec::with_capacity(partitions.len());
-    for (partition, counters) in partitions {
-        total.add(&counters);
-        entries.push(partition);
-    }
-    (concat_partitions(entries), total)
-}
 
 /// Match all `noks` with a single document-order pass; returns one match
 /// sequence per NoK (identical to running each NoK's own scan).
@@ -109,22 +62,6 @@ mod tests {
             let separate = NokMatcher::new(&doc, nok, d.shape.clone(), None).scan();
             assert_eq!(merged[i], separate, "NoK {i}");
         }
-    }
-
-    #[test]
-    fn concat_partitions_flattens_in_order() {
-        let doc = Document::parse_str("<r><a><b/></a><a><b/></a><a><b/></a></r>").unwrap();
-        let d = Decomposition::decompose(
-            &BlossomTree::from_path(&parse_path("//a/b").unwrap()).unwrap(),
-        );
-        let m = NokMatcher::new(&doc, &d.noks[0], d.shape.clone(), None);
-        let all = m.scan_range_entries(NodeId(1), NodeId(doc.len() as u32 - 1));
-        assert_eq!(all.len(), 3);
-        // Split at each anchor boundary and reconcatenate.
-        let parts: Vec<Vec<(NodeId, NestedList)>> =
-            all.iter().cloned().map(|e| vec![e]).collect();
-        assert_eq!(concat_partitions(parts), all);
-        assert!(concat_partitions(Vec::new()).is_empty());
     }
 
     #[test]

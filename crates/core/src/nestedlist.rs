@@ -118,6 +118,10 @@ impl NestedList {
         current
             .into_iter()
             .filter_map(|n| {
+                // SAFETY: every pointer in `current` was taken from a
+                // distinct node of the tree `self` exclusively borrows, and
+                // no `Vec` on the way down was resized since, so each is
+                // valid and this is the only live reference to its node.
                 let n = unsafe { &mut *n };
                 n.groups.get_mut(last).map(|g| g as *mut Vec<NlNode>)
             })

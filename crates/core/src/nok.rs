@@ -13,8 +13,6 @@
 //! what the bounded nested-loop join exploits.
 
 use crate::decompose::NokTree;
-use crate::exec::{self, Executor};
-use crate::merge;
 use crate::nestedlist::{NestedList, NlNode};
 use crate::obs::{Meter, OpCounters, TraceSink};
 use crate::shape::{Shape, ShapeId};
@@ -86,9 +84,6 @@ pub struct NokMatcher<'a> {
     index: Option<&'a TagIndex>,
     /// Per pattern-node resolved kind tests, indexed by local node id.
     resolved: Vec<ResolvedTest>,
-    /// Gallop range probes over the tag index instead of scanning the
-    /// anchor stream one element at a time.
-    skip: bool,
     /// Trace collection point; when set, scans and streams record their
     /// work counters ([`crate::obs`]).
     sink: Option<&'a TraceSink>,
@@ -110,24 +105,12 @@ impl<'a> NokMatcher<'a> {
         shape: Arc<Shape>,
         index: Option<&'a TagIndex>,
     ) -> Self {
-        Self::with_skip(doc, nok, shape, index, true)
-    }
-
-    /// [`NokMatcher::new`] with explicit control over galloped vs linear
-    /// anchor-range probes. Results are identical either way.
-    pub fn with_skip(
-        doc: &'a Document,
-        nok: &'a NokTree,
-        shape: Arc<Shape>,
-        index: Option<&'a TagIndex>,
-        skip: bool,
-    ) -> Self {
         let resolved = nok
             .pattern
             .ids()
             .map(|id| ResolvedTest::resolve(doc, &nok.pattern.node(id).test))
             .collect();
-        NokMatcher { doc, nok, shape, index, resolved, skip, sink: None }
+        NokMatcher { doc, nok, shape, index, resolved, sink: None }
     }
 
     /// Attach a trace sink: scans and streams record anchor counters
@@ -283,24 +266,17 @@ impl<'a> NokMatcher<'a> {
     }
 
     /// [`NokMatcher::anchor_candidates`] plus the number of posting-list
-    /// entries galloped past by the range probe (`0` with skipping off —
-    /// the linear probe examines entries one at a time — and `0` when no
-    /// sink is attached, to keep the untraced path free of the extra
+    /// entries galloped past by the range probe (`0` when no sink is
+    /// attached, to keep the untraced path free of the extra
     /// posting-count lookup).
     fn anchor_candidates_counted(&self, lo: NodeId, hi: NodeId) -> (Vec<NodeId>, u64) {
         let root = self.nok.pattern.node(self.nok.root());
         if let (Some(index), NodeTest::Name(name)) = (self.index, &root.test) {
             if let Some(sym) = self.doc.sym(name) {
                 // The `(p1, p2)` range probe of the bounded NLJ: two
-                // gallops over the posting list, or the one-at-a-time
-                // reference scan with skipping off.
-                let after = NodeId(lo.0.wrapping_sub(1));
-                let range = if self.skip {
-                    index.stream_in_range(sym, after, hi)
-                } else {
-                    index.stream_in_range_linear(sym, after, hi)
-                };
-                let skipped = if self.skip && self.sink.is_some() {
+                // gallops over the posting list.
+                let range = index.stream_in_range(sym, NodeId(lo.0.wrapping_sub(1)), hi);
+                let skipped = if self.sink.is_some() {
                     (index.count(sym) - range.len()) as u64
                 } else {
                     0
@@ -325,31 +301,14 @@ impl<'a> NokMatcher<'a> {
     }
 
     /// [`NokMatcher::scan_range`], keeping each match's anchor id (the
-    /// engine filters root anchors by level; partitioned scans keep the
-    /// anchor to certify document order across partition seams).
+    /// engine filters root anchors by level).
     pub fn scan_range_entries(&self, lo: NodeId, hi: NodeId) -> Vec<(NodeId, NestedList)> {
-        let (entries, counters) = self.scan_range_entries_counted(lo, hi);
-        if let Some(sink) = self.sink {
-            sink.record_op("nok-scan", counters);
-        }
-        entries
-    }
-
-    /// [`NokMatcher::scan_range_entries`] returning the work counters
-    /// instead of recording them: partitioned scans merge the per-worker
-    /// counters before a single record.
-    fn scan_range_entries_counted(
-        &self,
-        lo: NodeId,
-        hi: NodeId,
-    ) -> (Vec<(NodeId, NestedList)>, OpCounters) {
-        let mut counters = OpCounters::default();
         if self.doc.len() <= 1 || lo > hi {
-            return (Vec::new(), counters);
+            return Vec::new();
         }
         let (candidates, skipped) = self.anchor_candidates_counted(lo, hi);
-        counters.scanned = candidates.len() as u64;
-        counters.skipped = skipped;
+        let mut counters =
+            OpCounters { scanned: candidates.len() as u64, skipped, ..OpCounters::default() };
         let mut entries: Vec<(NodeId, NestedList)> = Vec::new();
         for x in candidates {
             if let Some(nl) = self.match_at(x) {
@@ -358,58 +317,10 @@ impl<'a> NokMatcher<'a> {
         }
         counters.matches = entries.len() as u64;
         counters.output = entries.len() as u64;
-        (entries, counters)
-    }
-
-    /// Partitioned scan: split the anchor stream into contiguous
-    /// `NodeId` ranges, run [`NokMatcher::scan_range`] per range on the
-    /// executor's workers, and concatenate the per-partition results in
-    /// document order. Disjoint anchor ranges produce disjoint match
-    /// sets (a NoK match lives inside its anchor's subtree and anchors
-    /// are preorder ids), so the result is byte-identical to
-    /// [`NokMatcher::scan`].
-    pub fn par_scan(&self, exec: &Executor) -> Vec<NestedList> {
-        self.par_scan_entries(exec).into_iter().map(|(_, nl)| nl).collect()
-    }
-
-    /// [`NokMatcher::par_scan`], keeping anchors.
-    pub fn par_scan_entries(&self, exec: &Executor) -> Vec<(NodeId, NestedList)> {
-        if self.doc.len() <= 1 {
-            return Vec::new();
-        }
-        let last = NodeId(self.doc.len() as u32 - 1);
-        if exec.threads() == 1 {
-            return self.scan_range_entries(NodeId(1), last);
-        }
-        let ranges = self.partition_ranges(exec);
-        let per_partition =
-            exec.run(ranges.len(), |i| self.scan_range_entries_counted(ranges[i].0, ranges[i].1));
-        let (entries, counters) = merge::concat_partitions_counted(per_partition);
         if let Some(sink) = self.sink {
             sink.record_op("nok-scan", counters);
         }
         entries
-    }
-
-    /// Contiguous, disjoint, ascending anchor-id ranges for a partitioned
-    /// scan: cut from the tag index's anchor stream when the root has a
-    /// name test and an index is available, otherwise an even split of
-    /// the id space `[1, len)`.
-    fn partition_ranges(&self, exec: &Executor) -> Vec<(NodeId, NodeId)> {
-        let last = self.doc.len() as u32 - 1;
-        let root = self.nok.pattern.node(self.nok.root());
-        if let (Some(index), NodeTest::Name(name)) = (self.index, &root.test) {
-            let Some(sym) = self.doc.sym(name) else { return Vec::new() };
-            return index
-                .partition(sym, exec.partitions(index.count(sym)))
-                .into_iter()
-                .map(|slice| (slice[0], slice[slice.len() - 1]))
-                .collect();
-        }
-        exec::chunk_bounds(last as usize, exec.partitions(last as usize))
-            .into_iter()
-            .map(|(lo, hi)| (NodeId(lo as u32 + 1), NodeId(hi as u32)))
-            .collect()
     }
 
     /// Iterator flavour of [`NokMatcher::scan`] for pipelined plans:
@@ -662,50 +573,6 @@ mod tests {
         assert_eq!(results.len(), 1);
         let texts = results[0].project(&"1.1".parse().unwrap());
         assert_eq!(doc.text(texts[0]), Some("hello"));
-    }
-
-    #[test]
-    fn par_scan_matches_sequential_scan() {
-        use crate::exec::Executor;
-        // Recursive document with many anchors so partitioning has seams
-        // to get wrong; run with and without the tag index.
-        let mut xml = String::from("<r>");
-        for i in 0..40 {
-            if i % 3 == 0 {
-                xml.push_str("<a><b/><a><b/></a></a>");
-            } else {
-                xml.push_str("<a><c/></a><x/>");
-            }
-        }
-        xml.push_str("</r>");
-        let doc = Document::parse_str(&xml).unwrap();
-        let p = parse_path("//a/b").unwrap();
-        let d = Decomposition::decompose(&BlossomTree::from_path(&p).unwrap());
-        let index = TagIndex::build(&doc);
-        for idx in [None, Some(&index)] {
-            let m = NokMatcher::new(&doc, &d.noks[0], d.shape.clone(), idx);
-            let sequential = m.scan();
-            for threads in [1, 2, 4, 8, 64] {
-                let parallel = m.par_scan(&Executor::new(threads));
-                assert_eq!(parallel, sequential, "threads={threads} index={}", idx.is_some());
-            }
-        }
-    }
-
-    #[test]
-    fn par_scan_on_tiny_and_missing_tag_documents() {
-        use crate::exec::Executor;
-        let exec = Executor::new(4);
-        let (doc, d) = setup("<r/>", "//a/b");
-        let m = NokMatcher::new(&doc, &d.noks[0], d.shape.clone(), None);
-        assert!(m.par_scan(&exec).is_empty());
-        // Indexed root tag absent from the document.
-        let doc2 = Document::parse_str("<r><x/></r>").unwrap();
-        let p = parse_path("//a/b").unwrap();
-        let d2 = Decomposition::decompose(&BlossomTree::from_path(&p).unwrap());
-        let index = TagIndex::build(&doc2);
-        let m2 = NokMatcher::new(&doc2, &d2.noks[0], d2.shape.clone(), Some(&index));
-        assert!(m2.par_scan(&exec).is_empty());
     }
 
     #[test]

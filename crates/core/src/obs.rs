@@ -11,8 +11,8 @@
 //!   compiles to an `#[inline]` branch on a bool, so the unprofiled hot
 //!   path pays a predictable never-taken branch and nothing else.
 //! * [`TraceSink`] — the `Sync` collection point operators and the
-//!   planner report into (a `Mutex` over plain vectors, so partitioned
-//!   scans and component-parallel workers can all record). The engine
+//!   planner report into (a `Mutex` over plain vectors, so an engine
+//!   shared across threads stays `Sync`). The engine
 //!   owns one and hands it out only when `EngineOptions::trace` is set.
 //! * [`QueryTrace`] — the per-query report: the resolved plan and every
 //!   strategy decision (requested strategy, `twigstack_compatible`
@@ -33,8 +33,10 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 /// Version stamp of the `--profile-json` schema. Bump only when a key is
-/// renamed or removed; additions are backward-compatible.
-pub const PROFILE_SCHEMA_VERSION: u32 = 1;
+/// renamed or removed; additions are backward-compatible. Version 2
+/// dropped `threads` and `skip_joins`, the two engine knobs that no
+/// longer exist.
+pub const PROFILE_SCHEMA_VERSION: u32 = 2;
 
 /// Work counters for one physical operator.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -43,9 +45,7 @@ pub struct OpCounters {
     /// candidates offered to a pattern match, axis candidates walked).
     pub scanned: u64,
     /// Elements galloped past *without examination* via
-    /// `skip_to`/`skip_past`/`skip_to_end` or a range probe. Exactly 0
-    /// when `EngineOptions::skip_joins` is off, except under the flat
-    /// probe semi-join, which has no linear form to switch to.
+    /// `skip_to`/`skip_past`/`skip_to_end` or a range probe.
     pub skipped: u64,
     /// Stack/buffer pushes (the holistic joins' memory measure).
     pub pushes: u64,
@@ -57,7 +57,7 @@ pub struct OpCounters {
 }
 
 impl OpCounters {
-    /// Accumulate `other` into `self` (partition-merge and label-merge).
+    /// Accumulate `other` into `self` (label-merge and totals).
     pub fn add(&mut self, other: &OpCounters) {
         self.scanned += other.scanned;
         self.skipped += other.skipped;
@@ -267,7 +267,7 @@ impl TraceSink {
     }
 
     /// Record one operator's counters; counters under the same label
-    /// merge (partitioned scans, repeated probes).
+    /// merge (repeated scans and probes).
     pub fn record_op(&self, op: &str, counters: OpCounters) {
         let mut inner = self.inner.lock().unwrap();
         match inner.ops.iter_mut().find(|t| t.op == op) {
@@ -297,8 +297,7 @@ impl TraceSink {
 
     /// Drain everything recorded:
     /// `(plan, executed, fallbacks, estimates, ops)`. Operators come out
-    /// sorted by label so traces are deterministic under
-    /// component-parallel recording.
+    /// sorted by label so traces do not depend on recording order.
     #[allow(clippy::type_complexity)]
     pub fn take(
         &self,
@@ -331,7 +330,7 @@ pub struct PhaseTimings {
     pub cache_lookup: Duration,
     /// Pattern matching and joins.
     pub matching: Duration,
-    /// Result assembly: projection, sort, dedup, partition concat.
+    /// Result assembly: projection, sort, dedup.
     pub merge: Duration,
     /// Result serialization (filled by the CLI; the engine returns a
     /// document, not bytes).
@@ -366,10 +365,6 @@ pub struct QueryTrace {
     pub phases: PhaseTimings,
     /// Plan-cache stats at trace time.
     pub cache: CacheStats,
-    /// Worker threads the engine evaluates with.
-    pub threads: usize,
-    /// Whether posting-list / stream skipping was enabled.
-    pub skip_joins: bool,
     /// Whether operator counters were collected (`EngineOptions::trace`);
     /// plan decisions and timings are recorded either way.
     pub counters_enabled: bool,
@@ -461,9 +456,7 @@ impl QueryTrace {
         );
         let _ = writeln!(
             out,
-            "threads: {}; skip-joins: {}; counters: {}",
-            self.threads,
-            if self.skip_joins { "on" } else { "off" },
+            "counters: {}",
             if self.counters_enabled { "on" } else { "off" },
         );
         out
@@ -563,8 +556,6 @@ impl QueryTrace {
             "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"len\": {}, \"capacity\": {}}},",
             self.cache.hits, self.cache.misses, self.cache.len, self.cache.capacity
         );
-        let _ = writeln!(out, "  \"threads\": {},", self.threads);
-        let _ = writeln!(out, "  \"skip_joins\": {},", self.skip_joins);
         let _ = writeln!(out, "  \"counters_enabled\": {}", self.counters_enabled);
         out.push_str("}\n");
         out
@@ -722,8 +713,6 @@ mod tests {
                 ..Default::default()
             },
             cache: CacheStats { hits: 1, misses: 1, len: 1, capacity: 256 },
-            threads: 1,
-            skip_joins: true,
             counters_enabled: true,
         }
     }
@@ -742,7 +731,7 @@ mod tests {
             "totals",
             "phases:",
             "plan cache: 1 hits / 1 misses",
-            "skip-joins: on",
+            "counters: on",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
@@ -752,7 +741,7 @@ mod tests {
     fn json_has_stable_schema_keys() {
         let text = sample_trace().to_json();
         for key in [
-            "\"blossom_profile\": 1",
+            "\"blossom_profile\": 2",
             "\"query\"",
             "\"strategy\"",
             "\"requested\"",
@@ -779,8 +768,6 @@ mod tests {
             "\"match\"",
             "\"serialize\"",
             "\"cache\"",
-            "\"threads\"",
-            "\"skip_joins\"",
             "\"counters_enabled\"",
         ] {
             assert!(text.contains(key), "missing {key} in:\n{text}");

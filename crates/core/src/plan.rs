@@ -27,10 +27,10 @@
 //! decide is the physical form of each semi-join, chosen per cut edge
 //! from the two list lengths ([`crate::flat::Kernel::for_lengths`]).
 //!
-//! A FLWOR under `Auto` runs the flat plan of [`crate::flwor`]; one
-//! outside its algebra falls back to per-component planning over the
-//! NestedList operators ([`choose_flwor`]), each [`ComponentPlan`] naming
-//! the strategy its component runs.
+//! A FLWOR under `Auto` runs the flat plan of [`crate::flwor`], or the
+//! navigational walk when it is outside that plan's algebra: nothing is
+//! left for a cost model to choose between. [`choose_flwor`] names the
+//! NestedList strategy the structural rule would pick, for `EXPLAIN`.
 
 use crate::cost::Estimator;
 use crate::decompose::{CutEdge, Decomposition};
@@ -99,26 +99,19 @@ impl std::str::FromStr for Strategy {
     }
 }
 
-/// A FLWOR component's cost-based alternative must price at least this
-/// factor below the structural preference to override it: estimates
-/// carry model error (independence assumptions, untracked tag pairs),
-/// and inside the margin the structural rules are already the right call.
-pub const OVERRIDE_MARGIN: u64 = 2;
-
-/// The cost-based plan for one cut component (one entry of
+/// The estimate ledger of one cut component (one entry of
 /// `Decomposition::roots` plus everything reachable through cut edges).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComponentPlan {
     /// Component id (index into `Decomposition::roots`).
     pub component: usize,
-    /// Strategy this component runs under a decomposed plan (always one
-    /// of Pipelined / BoundedNestedLoop / NaiveNestedLoop).
+    /// Strategy the component runs under (the plan's strategy).
     pub strategy: Strategy,
     /// Estimated anchors of the component root NoK.
     pub est_anchors: u64,
     /// Estimated output cardinality of the component.
     pub est_output: u64,
-    /// Estimated cost (elements touched) of the chosen strategy.
+    /// Estimated cost (elements touched) of the plan.
     pub est_cost: u64,
 }
 
@@ -135,11 +128,8 @@ pub struct Plan {
     /// `EXPLAIN`/trace output shows what the holistic join *could* have
     /// handled).
     pub twigstack_compatible: bool,
-    /// Per-component cost-based plans (empty for static plans and for
-    /// navigational early-outs). When [`Plan::strategy`] is a decomposed
-    /// strategy the engine dispatches each component by its entry here;
-    /// for whole-query strategies they are retained as the estimate rows
-    /// of the trace.
+    /// Per-component estimates (empty for navigational plans): the
+    /// estimate rows of the trace.
     pub components: Vec<ComponentPlan>,
     /// Estimated total cost of the chosen plan (0 = not costed).
     pub est_cost: u64,
@@ -251,9 +241,8 @@ pub fn order_cut_edges<'a>(
     ordered
 }
 
-/// Resolve `Auto` for a path query by the structural rules alone (the
-/// baseline the cost model must beat, and the `--no-cost-planner` escape
-/// hatch).
+/// Resolve `Auto` for a path query by the structural rules alone (what
+/// [`choose`] resolves to, without the estimate ledger).
 pub fn choose_static(path: &PathExpr, d: &Decomposition) -> Plan {
     let ts_ok = twigstack_compatible(d);
     if path.has_positional() || path.has_disjunction() {
@@ -283,59 +272,6 @@ pub fn choose_static(path: &PathExpr, d: &Decomposition) -> Plan {
             .into(),
         ts_ok,
     )
-}
-
-/// Pick one component's strategy from its cost table: keep `default`
-/// (the structural rule projected onto this component) unless another
-/// candidate prices ≥ [`OVERRIDE_MARGIN`]× cheaper.
-fn pick_component(
-    costs: &crate::cost::ComponentCosts,
-    component: usize,
-    default: Strategy,
-) -> ComponentPlan {
-    let mut cands: Vec<(Strategy, u64)> = Vec::new();
-    if let Some(pl) = costs.pipelined {
-        cands.push((Strategy::Pipelined, pl));
-    }
-    cands.push((Strategy::BoundedNestedLoop, costs.bounded));
-    cands.push((Strategy::NaiveNestedLoop, costs.naive));
-
-    let default_cost =
-        cands.iter().find(|&&(s, _)| s == default).map(|&(_, c)| c).unwrap_or(u64::MAX);
-    let &(best, best_cost) =
-        cands.iter().min_by_key(|&&(_, c)| c).expect("at least two candidates");
-    let (strategy, est_cost) =
-        if default_cost == u64::MAX || best_cost.saturating_mul(OVERRIDE_MARGIN) < default_cost {
-            (best, best_cost)
-        } else {
-            (default, default_cost)
-        };
-    ComponentPlan {
-        component,
-        strategy,
-        est_anchors: costs.est_anchors,
-        est_output: costs.est_output,
-        est_cost,
-    }
-}
-
-/// Per-component cost-based plans for a decomposition: each component's
-/// default is the structural preference (pipelined where legal, bounded
-/// nested loop otherwise), overridden only by a decisive cost gap.
-pub fn component_plans(d: &Decomposition, stats: &DocStats) -> Vec<ComponentPlan> {
-    let est = Estimator::new(stats);
-    let comp_of = d.components();
-    (0..d.roots.len())
-        .map(|ci| {
-            let costs = est.component_costs(d, &comp_of, ci);
-            let default = if costs.pipelined.is_some() {
-                Strategy::Pipelined
-            } else {
-                Strategy::BoundedNestedLoop
-            };
-            pick_component(&costs, ci, default)
-        })
-        .collect()
 }
 
 /// Resolve `Auto` for a path query: the structural rule, plus the cost
@@ -370,31 +306,16 @@ pub fn choose(path: &PathExpr, d: &Decomposition, stats: &DocStats) -> Plan {
     plan
 }
 
-/// Resolve `Auto` for a FLWOR decomposition by the v1 structural rule:
-/// pipelined only when the whole document is recursion-free and every
-/// cut is a mandatory `//`-join.
-pub fn choose_flwor_static(d: &Decomposition, stats: &DocStats) -> (Strategy, String) {
+/// The NestedList strategy the structural rule picks for a FLWOR
+/// decomposition: pipelined only when the whole document is
+/// recursion-free and every cut is a mandatory `//`-join. `Auto` never
+/// runs it (a FLWOR runs flat or navigationally); `EXPLAIN` shows it.
+pub fn choose_flwor(d: &Decomposition, stats: &DocStats) -> (Strategy, String) {
     if !stats.recursive && d.pipelinable() {
         (Strategy::Pipelined, "non-recursive document, mandatory //-cuts only".to_string())
     } else {
         (Strategy::BoundedNestedLoop, "recursive document or non-// cut edges".to_string())
     }
-}
-
-/// Resolve `Auto` for a FLWOR decomposition with per-component costing:
-/// the overall strategy reported is the dominant (costliest) component's.
-pub fn choose_flwor(d: &Decomposition, stats: &DocStats) -> (Strategy, Vec<ComponentPlan>, String) {
-    let comps = component_plans(d, stats);
-    let dominant = comps
-        .iter()
-        .max_by_key(|c| c.est_cost)
-        .map(|c| c.strategy)
-        .unwrap_or(Strategy::BoundedNestedLoop);
-    let detail: Vec<String> = comps
-        .iter()
-        .map(|c| format!("#{} {} (est {} elements)", c.component, c.strategy, c.est_cost))
-        .collect();
-    (dominant, comps, format!("per-component cost-based: {}", detail.join(", ")))
 }
 
 #[cfg(test)]
@@ -556,36 +477,17 @@ mod cost_tests {
         assert_eq!(p.est_cost, 3, "two a postings and one b");
     }
 
-    /// One rare anchor over a sea of common descendants, where per-anchor
-    /// probing is decisively cheaper than scanning the descendant posting.
-    fn skewed_doc(commons: usize) -> String {
-        let mut xml = String::from("<r><x><c/></x>");
-        for _ in 0..commons {
-            xml.push_str("<q><c/></q>");
-        }
-        xml.push_str("</r>");
-        xml
-    }
-
     #[test]
-    fn flwor_choose_plans_each_component() {
-        let doc = Document::parse_str(&skewed_doc(999)).unwrap();
-        let q = blossom_flwor::parse_query(
-            "for $a in //x//c, $b in //q return <p>{$a}{$b}</p>",
-        )
-        .unwrap();
-        let f = match q {
+    fn flwor_choose_applies_the_structural_rule() {
+        let q = "for $a in //x//c, $b in //q return <p>{$a}{$b}</p>";
+        let f = match blossom_flwor::parse_query(q).unwrap() {
             blossom_flwor::Expr::Flwor(f) => *f,
             other => panic!("unexpected {other:?}"),
         };
         let d = Decomposition::decompose(&BlossomTree::from_flwor(&f).unwrap());
-        let (dominant, comps, reason) = choose_flwor(&d, &doc.stats());
-        assert_eq!(comps.len(), 2);
-        // The x//c component probes; the bare q component scans.
-        assert_eq!(comps[0].strategy, Strategy::BoundedNestedLoop, "{reason}");
-        assert_eq!(comps[1].strategy, Strategy::Pipelined, "{reason}");
-        // The q scan dominates the probe.
-        assert_eq!(dominant, Strategy::Pipelined);
+        let flat = Document::parse_str("<r><x><c/></x><q><c/></q></r>").unwrap();
+        assert_eq!(choose_flwor(&d, &flat.stats()).0, Strategy::Pipelined);
+        let recursive = Document::parse_str("<r><x><x><c/></x></x><q/></r>").unwrap();
+        assert_eq!(choose_flwor(&d, &recursive.stats()).0, Strategy::BoundedNestedLoop);
     }
-
 }

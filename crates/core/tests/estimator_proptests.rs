@@ -162,8 +162,5 @@ proptest! {
                 "est_output {} vs oracle {}", c.est_output, oracle
             );
         }
-        // Cost floors: every strategy at least touches the anchors.
-        prop_assert!(c.bounded >= c.est_anchors);
-        prop_assert!(c.naive >= c.est_anchors);
     }
 }

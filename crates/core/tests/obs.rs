@@ -1,25 +1,23 @@
 //! Integration tests for the observability subsystem: operator counters
-//! reflect the skip-join ablation, strategy decisions and fallbacks are
+//! count the galloped elements, strategy decisions and fallbacks are
 //! recorded faithfully, and tracing never changes a query's result.
 
 use blossom_core::{Engine, EngineOptions, Strategy};
 use blossom_xml::writer;
 
-fn engine(xml: &str, skip_joins: bool, trace: bool) -> Engine {
+fn engine(xml: &str, trace: bool) -> Engine {
     Engine::with_options(
         blossom_xml::Document::parse_str(xml).unwrap(),
-        EngineOptions { threads: 1, skip_joins, trace, ..EngineOptions::default() },
+        EngineOptions { trace, ..EngineOptions::default() },
     )
 }
 
-/// With skip joins on, the gallop sites report skipped elements on
-/// skip-heavy inputs; with them off, `skipped` is exactly zero for every
-/// operator that has the switch (the counter measures gallops only,
-/// never linear work). The NestedList joins are reached through FLWORs:
-/// a path query's flat semi-joins ignore the switch — a probe always
-/// gallops, a merge never does.
+/// Every gallop site reports skipped elements on a skip-heavy input, and
+/// the bytes equal the navigational walk's. The NestedList joins are
+/// reached through FLWORs. A path query's flat semi-joins gallop by
+/// kernel: a probe always does, a merge never does.
 #[test]
-fn gallop_counters_follow_the_skip_joins_switch() {
+fn gallop_counters_count_skipped_elements() {
     // Bounded NLJ: the inner NoK's range probe for each outer `a` region
     // gallops past the four `b`s living under `x`.
     let bnlj_xml = "<r><a><b/></a><x><b/><b/><b/><b/></x><a><b/></a></r>";
@@ -39,34 +37,23 @@ fn gallop_counters_follow_the_skip_joins_switch() {
         (pl_xml, "for $a in //a[//c] return $a", Strategy::Pipelined),
     ];
     for (xml, query, strategy) in cases {
-        let with_skip = engine(xml, true, true);
-        let (bytes_skip, trace_skip) = with_skip.eval_query_bytes(query, strategy).unwrap();
+        let e = engine(xml, true);
+        let (bytes, trace) = e.eval_query_bytes(query, strategy).unwrap();
         assert!(
-            trace_skip.totals().skipped > 0,
+            trace.totals().skipped > 0,
             "{strategy} on {query}: expected galloped elements, trace {:?}",
-            trace_skip.ops
+            trace.ops
         );
-
-        let without_skip = engine(xml, false, true);
-        let (bytes_linear, trace_linear) =
-            without_skip.eval_query_bytes(query, strategy).unwrap();
-        assert_eq!(
-            trace_linear.totals().skipped,
-            0,
-            "{strategy} on {query}: skipped must be 0 with skip_joins off, trace {:?}",
-            trace_linear.ops
-        );
-        assert_eq!(bytes_skip, bytes_linear, "{strategy} on {query}");
+        let (nav, _) = e.eval_query_bytes(query, Strategy::Navigational).unwrap();
+        assert_eq!(bytes, nav, "{strategy} on {query}");
     }
 
     // The flat probe kernel on the same skip-heavy input.
-    for skip_joins in [true, false] {
-        let e = engine(bnlj_xml, skip_joins, true);
-        let (_, probe) = e.eval_path_traced("//a//b", Strategy::BoundedNestedLoop).unwrap();
-        assert!(probe.totals().skipped > 0, "{:?}", probe.ops);
-        let (_, merge) = e.eval_path_traced("//a//b", Strategy::Pipelined).unwrap();
-        assert_eq!(merge.totals().skipped, 0, "{:?}", merge.ops);
-    }
+    let e = engine(bnlj_xml, true);
+    let (_, probe) = e.eval_path_traced("//a//b", Strategy::BoundedNestedLoop).unwrap();
+    assert!(probe.totals().skipped > 0, "{:?}", probe.ops);
+    let (_, merge) = e.eval_path_traced("//a//b", Strategy::Pipelined).unwrap();
+    assert_eq!(merge.totals().skipped, 0, "{:?}", merge.ops);
 }
 
 /// A forced flat strategy on a non-descendant cut edge is rewritten to
@@ -74,7 +61,7 @@ fn gallop_counters_follow_the_skip_joins_switch() {
 /// trace.
 #[test]
 fn pipelined_downgrade_records_a_fallback_event() {
-    let e = engine("<r><a/><b/><b/></r>", true, true);
+    let e = engine("<r><a/><b/><b/></r>", true);
     let (nodes, trace) = e.eval_path_traced("//a/following::b", Strategy::Pipelined).unwrap();
     assert_eq!(nodes.len(), 2);
     assert!(
@@ -91,7 +78,7 @@ fn pipelined_downgrade_records_a_fallback_event() {
 /// `twigstack_compatible == Some(false)` so profiles explain why.
 #[test]
 fn twigstack_incompatible_axis_recorded_in_plan() {
-    let e = engine("<a><a><b1/><c1/></a></a>", true, true);
+    let e = engine("<a><a><b1/><c1/></a></a>", true);
     let (nodes, trace) =
         e.eval_path_traced("//c1/preceding-sibling::b1", Strategy::Auto).unwrap();
     assert_eq!(nodes.len(), 1);
@@ -102,13 +89,12 @@ fn twigstack_incompatible_axis_recorded_in_plan() {
 }
 
 /// Auto falls back to the navigational evaluator for FLWOR queries
-/// outside the BlossomTree subset, and the trace records both the event
-/// (with its reason) and the navigational executor.
+/// outside the flat plan's algebra, and the trace records both the event
+/// (with the flat compiler's reason) and the navigational executor.
 #[test]
 fn auto_fallback_events_fire_for_unsupported_flwor() {
-    let e = engine("<bib><book><t>x</t></book><book><t>y</t></book></bib>", true, true);
-    // A nested FLWOR in the return clause is outside the BlossomTree
-    // subset entirely.
+    let e = engine("<bib><book><t>x</t></book><book><t>y</t></book></bib>", true);
+    // A nested FLWOR in the return clause is outside the flat algebra.
     let (_, trace) = e
         .eval_query_traced(
             "for $a in //book return <o>{ for $b in //t return $b }</o>",
@@ -117,7 +103,9 @@ fn auto_fallback_events_fire_for_unsupported_flwor() {
         .unwrap();
     assert_eq!(trace.executed, Strategy::Navigational);
     assert!(
-        trace.fallbacks.iter().any(|f| f.reason.contains("outside the BlossomTree subset")),
+        trace.fallbacks.iter().any(|f| {
+            f.to == Strategy::Navigational && f.reason.contains("a nested FLWOR in the return")
+        }),
         "fallbacks: {:?}",
         trace.fallbacks
     );
@@ -125,7 +113,7 @@ fn auto_fallback_events_fire_for_unsupported_flwor() {
     // A where-atom over a let-bound operand needs per-tuple existential
     // filtering: the NestedList pipeline falls back, the flat plan
     // filters the let-only component's one row.
-    let e2 = engine("<dblp><book><crossref>1970</crossref></book></dblp>", true, true);
+    let e2 = engine("<dblp><book><crossref>1970</crossref></book></dblp>", true);
     let query = "let $v1 := //book where $v1/crossref < 1980 return <out>{ $v1/crossref }</out>";
     let (_, trace2) = e2.eval_query_traced(query, Strategy::BoundedNestedLoop).unwrap();
     assert_eq!(trace2.executed, Strategy::Navigational);
@@ -144,7 +132,6 @@ fn auto_fallback_events_fire_for_unsupported_flwor() {
 fn flwor_tuple_counters_are_recorded() {
     let e = engine(
         "<bib><book><title>A</title></book><book><title>B</title></book></bib>",
-        true,
         true,
     );
     let query = "for $b in //book return <t>{$b/title}</t>";
@@ -183,8 +170,8 @@ fn tracing_never_changes_results() {
         "for $b in //book where $b/price > 15 return $b",
     ];
     for strategy in ALL {
-        let plain = engine(xml, true, false);
-        let traced = engine(xml, true, true);
+        let plain = engine(xml, false);
+        let traced = engine(xml, true);
         for query in paths {
             let want = plain.eval_path_str(query, strategy);
             let got = traced.eval_path_traced(query, strategy);
@@ -212,7 +199,7 @@ fn tracing_never_changes_results() {
 /// executed strategy and cache statistics.
 #[test]
 fn profile_outputs_cover_the_trace() {
-    let e = engine("<r><a><b/></a></r>", true, true);
+    let e = engine("<r><a><b/></a></r>", true);
     let (_, trace) = e.eval_path_traced("//a//b", Strategy::Auto).unwrap();
     let json = trace.to_json();
     for key in ["\"blossom_profile\"", "\"operators\"", "\"phases_us\"", "\"cache\""] {

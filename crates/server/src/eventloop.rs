@@ -744,7 +744,7 @@ impl IoThread {
 
 /// Is this request eligible for shared-scan coalescing? Only plain
 /// (unprofiled) `GET /query` over a cataloged document with a parseable
-/// query and a valid strategy/thread spelling. The key canonicalizes
+/// query and a valid strategy spelling. The key canonicalizes
 /// the query through the parser's `Display` round-trip and the strategy
 /// through its parsed form, so alias spellings (`ts` vs `twigstack`,
 /// whitespace differences) coalesce too.
@@ -760,13 +760,6 @@ fn batchable(request: &Request, shared: &Shared) -> Option<(BatchKey, Arc<crate:
     let doc = request.param("doc")?;
     let q = request.param("q")?;
     let strategy = request.param("strategy").unwrap_or("auto").parse::<Strategy>().ok()?;
-    let threads = match request.param("threads") {
-        None => shared.config.query_threads,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return None,
-        },
-    };
     let canonical = blossom_flwor::parse_query(q).ok()?.to_string();
     let entry = shared.catalog.get(doc)?;
     Some((
@@ -774,7 +767,6 @@ fn batchable(request: &Request, shared: &Shared) -> Option<(BatchKey, Arc<crate:
             doc_uid: entry.doc.uid(),
             query: canonical,
             strategy: strategy.to_string(),
-            threads,
         },
         entry,
     ))
@@ -834,7 +826,7 @@ fn execute(job: Job, shared: &Arc<Shared>, handles: &Arc<Vec<Arc<IoHandle>>>) {
                 key.strategy.parse::<Strategy>().expect("key strategy is canonical");
             let mut engine = entry.engine(
                 shared.plans.clone(),
-                EngineOptions { threads: key.threads, trace: true, ..EngineOptions::default() },
+                EngineOptions { trace: true, ..EngineOptions::default() },
             );
             engine.set_deadline(deadline);
 

@@ -50,15 +50,14 @@ pub struct Member {
 
 /// The coalescing key: two `/query` requests share one evaluation iff
 /// they agree on the document *instance* (uid, not name — a reload
-/// changes the uid), the canonical query text, the strategy, and the
-/// evaluation thread width. Deadlines are deliberately excluded: they
-/// are per-member (see `eventloop`'s batch completion).
+/// changes the uid), the canonical query text and the strategy.
+/// Deadlines are deliberately excluded: they are per-member (see
+/// `eventloop`'s batch completion).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BatchKey {
     pub doc_uid: u64,
     pub query: String,
     pub strategy: String,
-    pub threads: usize,
 }
 
 /// One unit of execution-pool work.
@@ -327,7 +326,7 @@ mod tests {
     }
 
     fn key() -> BatchKey {
-        BatchKey { doc_uid: 1, query: "//a".into(), strategy: "auto".into(), threads: 1 }
+        BatchKey { doc_uid: 1, query: "//a".into(), strategy: "auto".into() }
     }
 
     #[test]

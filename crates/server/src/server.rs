@@ -77,8 +77,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Readiness-driven I/O threads (event loop only).
     pub io_threads: usize,
-    /// `EngineOptions::threads` per query evaluation.
-    pub query_threads: usize,
     /// Per-request evaluation budget; `None` never aborts. Requests may
     /// tighten (never extend) their own with `?deadline_ms=N`.
     pub deadline: Option<Duration>,
@@ -116,7 +114,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 4,
             io_threads: 2,
-            query_threads: 1,
             deadline: Some(Duration::from_secs(10)),
             max_queue: 1024,
             batch: true,
@@ -454,7 +451,7 @@ pub(crate) fn respond(
     }
 }
 
-/// `GET /query?doc=NAME&q=QUERY[&strategy=S][&threads=N][&profile=1]
+/// `GET /query?doc=NAME&q=QUERY[&strategy=S][&profile=1]
 /// [&deadline_ms=N]`.
 fn query(
     request: &Request,
@@ -473,11 +470,6 @@ fn query(
         Ok(s) => s,
         Err(e) => return bad(e),
     };
-    let threads = match request.param("threads").map(str::parse::<usize>) {
-        None => shared.config.query_threads,
-        Some(Ok(n)) if n >= 1 => n,
-        Some(_) => return bad("bad ?threads= (want an integer >= 1)".to_string()),
-    };
     let profile = request.param("profile") == Some("1");
     let Some(entry) = shared.catalog.get(doc_name) else {
         return (
@@ -491,7 +483,7 @@ fn query(
     // trace is observational (PR 4's invariant: identical result bytes).
     let engine = entry.engine(
         shared.plans.clone(),
-        EngineOptions { threads, trace: true, deadline, ..EngineOptions::default() },
+        EngineOptions { trace: true, deadline, ..EngineOptions::default() },
     );
     // The plain body is the serialized result plus a newline —
     // byte-identical to `blossom query` stdout, so harnesses can

@@ -18,8 +18,8 @@
 //! dense `Vec<u32>` columns, `level` is a `Vec<u16>`, and node kind plus
 //! its payload (tag symbol for elements, text index for text nodes) are
 //! packed into a single `Vec<u32>` with the kind in the low two bits.
-//! Hot loops — tag-stream scans, region containment tests, `string_value`,
-//! the partitioned `par_scan` — each touch only the one or two columns
+//! Hot loops — tag-stream scans, region containment tests, `string_value`
+//! — each touch only the one or two columns
 //! they need, so a scan over a million nodes streams 4 bytes per node
 //! instead of striding over full records and evicting cache lines it
 //! never reads. The region label of node `n` is `(n, last_desc[n],

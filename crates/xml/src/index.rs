@@ -426,12 +426,16 @@ impl TagIndex {
         let list = self.postings(sym);
         &list.starts()[list.range(after.0, upto.0)]
     }
+}
 
-    /// Reference implementation of [`Self::stream_in_range`] that advances
-    /// one element at a time. Kept as the skip-off baseline for the
-    /// equivalence tests and the `joins` benchmark.
-    pub fn stream_in_range_linear(&self, sym: Sym, after: NodeId, upto: NodeId) -> &[NodeId] {
-        let s = self.stream(sym);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Reference for [`TagIndex::stream_in_range`] that advances one
+    /// element at a time.
+    fn stream_in_range_linear(idx: &TagIndex, sym: Sym, after: NodeId, upto: NodeId) -> &[NodeId] {
+        let s = idx.stream(sym);
         let mut lo = 0;
         while lo < s.len() && s[lo].0 <= after.0 {
             lo += 1;
@@ -442,35 +446,6 @@ impl TagIndex {
         }
         &s[lo..hi]
     }
-
-    /// Split the tag stream for `sym` into at most `parts` contiguous,
-    /// non-empty slices that cover it exactly, in document order. Because
-    /// node ids are preorder positions, each slice spans a disjoint
-    /// anchor-id interval — the partitioning that makes parallel NoK
-    /// scans merge back with plain concatenation.
-    pub fn partition(&self, sym: Sym, parts: usize) -> Vec<&[NodeId]> {
-        let s = self.stream(sym);
-        if s.is_empty() {
-            return Vec::new();
-        }
-        let parts = parts.clamp(1, s.len());
-        let base = s.len() / parts;
-        let extra = s.len() % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut lo = 0;
-        for i in 0..parts {
-            let hi = lo + base + usize::from(i < extra);
-            out.push(&s[lo..hi]);
-            lo = hi;
-        }
-        debug_assert_eq!(lo, s.len());
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     #[test]
     fn streams_are_doc_ordered() {
@@ -512,26 +487,6 @@ mod tests {
     }
 
     #[test]
-    fn partitions_cover_the_stream_in_order() {
-        let doc = Document::parse_str(
-            "<a><b/><c><b/><b/></c><b/><b/><c><b/></c><b/></a>",
-        )
-        .unwrap();
-        let idx = TagIndex::build(&doc);
-        let b = doc.sym("b").unwrap();
-        let full = idx.stream(b).to_vec();
-        for parts in [1, 2, 3, full.len(), full.len() + 5] {
-            let slices = idx.partition(b, parts);
-            assert!(slices.len() <= parts.max(1));
-            assert!(slices.iter().all(|s| !s.is_empty()), "parts={parts}");
-            let flat: Vec<NodeId> = slices.iter().flat_map(|s| s.iter().copied()).collect();
-            assert_eq!(flat, full, "parts={parts}");
-        }
-        // Missing tags partition to nothing.
-        assert!(idx.partition(Sym(999), 4).is_empty());
-    }
-
-    #[test]
     fn range_limited_stream() {
         let doc = Document::parse_str("<a><b/><c><b/><b/></c><b/></a>").unwrap();
         let idx = TagIndex::build(&doc);
@@ -552,7 +507,7 @@ mod tests {
             for upto in 0..doc.len() as u32 {
                 assert_eq!(
                     idx.stream_in_range(b, NodeId(after), NodeId(upto)),
-                    idx.stream_in_range_linear(b, NodeId(after), NodeId(upto)),
+                    stream_in_range_linear(&idx, b, NodeId(after), NodeId(upto)),
                     "after={after} upto={upto}"
                 );
             }

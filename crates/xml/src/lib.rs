@@ -54,8 +54,8 @@ pub use parser::{Event, ParseError, Reader};
 pub use stats::DocStats;
 pub use symbol::{Sym, SymbolTable};
 
-// The parallel execution layer shares `&Document` / `&TagIndex` across
-// scoped worker threads; fail the build immediately if either ever grows
+// The query server shares `&Document` / `&TagIndex` across its worker
+// threads; fail the build immediately if either ever grows
 // a non-thread-safe field (`Rc`, `Cell`, raw pointers, …).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: offline release build, the full test suite, bench
-# smoke runs that exercise the parallel scan end to end (leaving a
-# BENCH_parallel.json report at the workspace root), a server smoke that
+# Tier-1 verification: offline release build, the full test suite, a
+# micro-benchmark smoke (leaving BENCH_micro_smoke.json), a server smoke that
 # load-tests blossomd in-process and as a real child process (leaving
 # BENCH_server.json), an observability smoke that checks the structured
 # slow-query log and the Prometheus exposition (leaving the scrape in
@@ -12,15 +11,10 @@
 # bytes (leaving BENCH_profile_smoke.json).
 #
 # Usage: scripts/verify.sh [--full]
-#   --full   run the benchmark at paper scale (>= 50 MB document)
-#            instead of the quick smoke size.
+#   --full   run the differential and mutation sweeps for 1000 rounds
+#            instead of the 400-round smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-NODES=300000
-if [[ "${1:-}" == "--full" ]]; then
-    NODES=7000000
-fi
 
 echo "== build (release) =="
 cargo build --release
@@ -29,12 +23,12 @@ echo "== tests (every workspace crate: default-members) =="
 cargo test -q
 
 echo "== differential smoke (engine matrix vs oracle, fixed seeds) =="
-# A bounded slice of the differential harness: 150 seeded rounds across
+# A bounded slice of the differential harness: 400 seeded rounds across
 # the five paper datasets, every engine configuration checked against
 # the spec-direct oracle in crates/oracle. The full loop is the same
 # binary with a bigger budget, e.g.:
 #   cargo run --release -p blossom-bench --bin diff -- --rounds 1000
-DIFF_ROUNDS=150
+DIFF_ROUNDS=400
 if [[ "${1:-}" == "--full" ]]; then
     DIFF_ROUNDS=1000
 fi
@@ -261,20 +255,13 @@ wait "${SERVE_PID}" || { echo "blossom serve exited nonzero"; cat "${SERVE_LOG}"
 grep -q "drained and stopped" "${SERVE_LOG}" \
     || { echo "blossom serve missing drain message"; cat "${SERVE_LOG}"; exit 1; }
 
-echo "== bench smoke (parallel scan, ${NODES} nodes) =="
-cargo run --release -q -p blossom-bench --bin parallel -- \
-    --dataset d1 --nodes "${NODES}" --threads 4 --runs 3 \
-    --out BENCH_parallel.json
-
-echo "== bench smoke (skip-joins + micro) =="
-cargo run --release -q -p blossom-bench --bin joins -- \
-    --nodes 8000 --runs 1 --out BENCH_joins_smoke.json
+echo "== bench smoke (micro) =="
 cargo run --release -q -p blossom-bench --bin micro -- \
     --nodes 8000 --runs 1 --out BENCH_micro_smoke.json
 
 echo "== profile smoke (query tracing is observational + schema-stable) =="
 # Run the same query profiled and unprofiled: the profile must carry
-# every version-1 schema key, and profiling must not change a single
+# every schema key, and profiling must not change a single
 # byte of the query result on stdout.
 PROFILE_DOC=target/profile-smoke.xml
 PROFILE_JSON=BENCH_profile_smoke.json
@@ -286,7 +273,7 @@ cargo run --release -q --bin blossom -- query "${PROFILE_DOC}" "${PROFILE_QUERY}
     --profile --profile-json "${PROFILE_JSON}" \
     > target/profile-smoke-traced.out 2>/dev/null
 for key in blossom_profile query strategy fallbacks operators totals \
-           phases_us cache threads skip_joins counters_enabled; do
+           phases_us cache counters_enabled; do
     grep -q "\"${key}\"" "${PROFILE_JSON}" \
         || { echo "profile JSON missing key: ${key}"; exit 1; }
 done

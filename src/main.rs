@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! blossom query   <doc.xml|doc.blsm> '<query>' [--strategy auto|navigational|twigstack|pathstack|pipelined|bnlj|nlj]
-//!                 [--threads N] [--pretty] [--profile] [--profile-json FILE] [--repeat N]
+//!                 [--pretty] [--profile] [--profile-json FILE] [--repeat N]
 //! blossom explain <doc.xml|doc.blsm> '<query>'
 //! blossom stats   <doc.xml|doc.blsm>
 //! blossom encode  <doc.xml> <out.blsm>     # succinct storage format
@@ -10,7 +10,7 @@
 //!                 [--succinct] [--stats]    # columnar storage format
 //! blossom update  <doc.xml|doc.blsm> [--apply 'MUTATION']... [--ops FILE] [--output OUT]
 //! blossom gen     <d1|d2|d3|d4|d5> <out.xml> [--nodes N] [--seed S]
-//! blossom serve   [--addr HOST:PORT] [--workers N] [--threads N] [--deadline-ms N]
+//! blossom serve   [--addr HOST:PORT] [--workers N] [--deadline-ms N]
 //!                 [--catalog-mb N] [--store-dir DIR] [--io-model M] [--io-threads N]
 //!                 [--max-queue N] [--batch on|off] [--slow-ms N] [--access-log TARGET]
 //!                 [--log-sample N] [--load NAME=PATH]...
@@ -43,7 +43,7 @@
 //! `serve` starts `blossomd`, the concurrent query server (see
 //! `DESIGN.md` §10 and §12): `--addr` binds the listener (port 0 picks
 //! an ephemeral port, printed on startup), `--workers` sizes the
-//! execution pool, `--threads` sets per-query evaluation threads,
+//! execution pool (each query runs on one thread),
 //! `--deadline-ms` bounds each request's evaluation wall-clock (0
 //! disables), `--catalog-mb` caps the document catalog's memory, and
 //! each `--load NAME=PATH` preloads an XML, `.blsm`, or `.blm2` file
@@ -69,7 +69,7 @@
 //! id; clients can force a record for one request with `?trace=1`.
 
 use blossomtree::core::engine::SharedPlanCache;
-use blossomtree::core::{exec, Engine, EngineOptions, Strategy};
+use blossomtree::core::{Engine, EngineOptions, Strategy};
 use blossomtree::server::{IoModel, Server, ServerConfig};
 use blossomtree::storage::{self, EncodeOptions, OpenMode};
 use blossomtree::xml::{mutate, succinct, writer, Document};
@@ -93,7 +93,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  blossom query   <doc.xml|doc.blsm> '<query>' [--strategy S] [--threads N] [--pretty]
+  blossom query   <doc.xml|doc.blsm> '<query>' [--strategy S] [--pretty]
                   [--profile] [--profile-json FILE] [--repeat N]
   blossom explain <doc.xml|doc.blsm> '<query>'
   blossom stats   <doc.xml|doc.blsm>
@@ -102,15 +102,12 @@ const USAGE: &str = "usage:
                   [--succinct] [--stats]
   blossom update  <doc.xml|doc.blsm> [--apply 'MUTATION']... [--ops FILE] [--output OUT]
   blossom gen     <d1|d2|d3|d4|d5> <out.xml> [--nodes N] [--seed S]
-  blossom serve   [--addr HOST:PORT] [--workers N] [--threads N] [--deadline-ms N]
+  blossom serve   [--addr HOST:PORT] [--workers N] [--deadline-ms N]
                   [--catalog-mb N] [--store-dir DIR] [--io-model M] [--io-threads N]
                   [--max-queue N] [--batch on|off] [--slow-ms N] [--access-log TARGET]
                   [--log-sample N] [--load NAME=PATH]...
 
 strategies: auto (default), navigational, twigstack, pathstack, pipelined, bnlj, nlj
---threads:      worker threads for NoK scans and FLWOR iteration
-                (default: available parallelism; 1 = sequential;
-                serve default: 1 per query)
 --profile:      print an EXPLAIN ANALYZE-style trace (strategy decisions,
                 operator counters, phase timings) to stderr
 --profile-json: write the trace as JSON to FILE
@@ -151,14 +148,13 @@ fn run(args: &[String]) -> Result<String, String> {
             let query = arg(args, 2)?;
             let strategy = parse_strategy(flag_value(args, "--strategy").unwrap_or("auto"))?;
             let pretty = args.iter().any(|a| a == "--pretty");
-            let threads = parse_threads(args)?;
             let profile = args.iter().any(|a| a == "--profile");
             let profile_json = flag_value(args, "--profile-json");
             let repeat = parse_repeat(args)?;
             let tracing = profile || profile_json.is_some();
             let engine = load_engine(
                 file,
-                EngineOptions { threads, trace: tracing, ..EngineOptions::default() },
+                EngineOptions { trace: tracing, ..EngineOptions::default() },
             )?;
             // The query result always goes to stdout, byte-identical with
             // and without profiling; the trace goes to stderr / a file.
@@ -381,13 +377,6 @@ fn parse_serve_config(args: &[String]) -> Result<ServerConfig, String> {
             _ => return Err(format!("bad --workers {v:?} (want an integer >= 1)")),
         },
     };
-    let query_threads = match flag_value(args, "--threads") {
-        None => 1,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => return Err(format!("bad --threads {v:?} (want an integer >= 1)")),
-        },
-    };
     let deadline = match flag_value(args, "--deadline-ms") {
         None => defaults.deadline,
         Some(v) => match v.parse::<u64>() {
@@ -453,7 +442,6 @@ fn parse_serve_config(args: &[String]) -> Result<ServerConfig, String> {
     Ok(ServerConfig {
         addr,
         workers,
-        query_threads,
         deadline,
         catalog_bytes,
         io_model,
@@ -504,16 +492,6 @@ fn flag_values<'a>(args: &'a [String], flag: &str) -> Vec<&'a str> {
         .filter(|(_, a)| *a == flag)
         .filter_map(|(i, _)| args.get(i + 1).map(String::as_str))
         .collect()
-}
-
-fn parse_threads(args: &[String]) -> Result<usize, String> {
-    match flag_value(args, "--threads") {
-        None => Ok(exec::available_parallelism()),
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => Ok(n),
-            _ => Err(format!("bad --threads {v:?} (want an integer >= 1)")),
-        },
-    }
 }
 
 fn parse_repeat(args: &[String]) -> Result<usize, String> {
@@ -731,7 +709,7 @@ mod tests {
     }
 
     /// The module doc comment at the top of this file must mention every
-    /// flag USAGE advertises (regression: `--threads` was added to USAGE
+    /// flag USAGE advertises (regression: a flag was once added to USAGE
     /// but not to the doc comment).
     #[test]
     fn doc_comment_mentions_every_usage_flag() {
@@ -786,8 +764,7 @@ mod tests {
             "\"totals\"",
             "\"phases_us\"",
             "\"cache\"",
-            "\"threads\"",
-            "\"skip_joins\"",
+            "\"counters_enabled\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
@@ -847,13 +824,12 @@ mod tests {
     #[test]
     fn serve_flag_parsing() {
         let config = parse_serve_config(&s(&[
-            "serve", "--addr", "127.0.0.1:0", "--workers", "2", "--threads", "3",
+            "serve", "--addr", "127.0.0.1:0", "--workers", "2",
             "--deadline-ms", "250", "--catalog-mb", "64",
         ]))
         .unwrap();
         assert_eq!(config.addr, "127.0.0.1:0");
         assert_eq!(config.workers, 2);
-        assert_eq!(config.query_threads, 3);
         assert_eq!(config.deadline, Some(std::time::Duration::from_millis(250)));
         assert_eq!(config.catalog_bytes, 64 * 1024 * 1024);
 
@@ -934,27 +910,16 @@ mod tests {
         assert!(!err.contains('\n'), "multi-line: {err}");
     }
 
+    /// Evaluation is single-threaded: neither `query` nor `serve`
+    /// advertises a `--threads` flag, and like any flag the CLI does not
+    /// know, a stray one changes nothing.
     #[test]
     fn threads_flag() {
-        assert_eq!(parse_threads(&s(&["query", "--threads", "4"])).unwrap(), 4);
-        assert!(parse_threads(&s(&["query"])).unwrap() >= 1);
-        assert!(parse_threads(&s(&["query", "--threads", "0"])).is_err());
-        assert!(parse_threads(&s(&["query", "--threads", "many"])).is_err());
-    }
-
-    #[test]
-    fn query_results_identical_across_thread_counts() {
-        let xml = tmp("par.xml");
-        let mut text = String::from("<bib>");
-        for i in 0..50 {
-            text.push_str(&format!("<book><title>t{i}</title></book>"));
-        }
-        text.push_str("</bib>");
-        std::fs::write(&xml, &text).unwrap();
-        let seq = run(&s(&["query", &xml, "//book/title", "--threads", "1"])).unwrap();
-        for n in ["2", "4", "8"] {
-            let par = run(&s(&["query", &xml, "//book/title", "--threads", n])).unwrap();
-            assert_eq!(par, seq, "--threads {n}");
-        }
+        assert!(!USAGE.contains("--threads "), "{USAGE}");
+        let xml = tmp("threads.xml");
+        std::fs::write(&xml, "<bib><book><title>t</title></book></bib>").unwrap();
+        let plain = run(&s(&["query", &xml, "//book/title"])).unwrap();
+        let stray = run(&s(&["query", &xml, "//book/title", "--threads", "4"])).unwrap();
+        assert_eq!(stray, plain);
     }
 }

@@ -2,7 +2,7 @@
 //! a generated document into a BLM2 snapshot, reopens it over mapped
 //! column windows, and requires byte-identical serialization and query
 //! results across the whole engine configuration matrix
-//! (`blossom_bench::diff::config_matrix`, 25 configurations).
+//! (`blossom_bench::diff::config_matrix`, 7 configurations).
 //!
 //! The seed schedule matches `tests/differential.rs`, so any failure
 //! reproduces with

@@ -1,6 +1,6 @@
 //! Update-path equivalence: after **each** mutation of a script, every
-//! engine configuration (all strategies × {1,4} threads × skipping
-//! on/off) must return byte-identical query results on the incrementally
+//! engine configuration (navigational plus every strategy) must return
+//! byte-identical query results on the incrementally
 //! maintained snapshot, and those bytes must equal evaluating the same
 //! query over a document rebuilt from scratch. Plus the scoped
 //! invalidation contract: an update touches exactly one document's plans
