@@ -18,6 +18,12 @@
 //! and [`CaseResult::executed`] records what each configuration really
 //! ran.
 //!
+//! Each accepting configuration is also run through the byte path,
+//! [`Engine::eval_query_bytes`] (what the server and `blossom query`
+//! print): it must accept exactly when the document path does and
+//! return the document's serialization plus one newline. The storage
+//! and mutation cases check it the same way.
+//!
 //! On mismatch, [`shrink`] greedily minimizes first the document
 //! (subtree deletion, then text truncation) and then the query (clause /
 //! step / predicate removal and simplification), re-checking the full
@@ -59,6 +65,37 @@ pub fn config_matrix() -> Vec<Strategy> {
 /// Strategies that must accept everything the oracle accepts.
 fn must_support(strategy: Strategy) -> bool {
     matches!(strategy, Strategy::Navigational | Strategy::Auto)
+}
+
+/// The byte path against the document path on one engine: the same
+/// acceptance, and `via_doc`'s bytes plus one newline.
+fn check_bytes<E: std::fmt::Display>(
+    engine: &Engine,
+    query: &str,
+    strategy: Strategy,
+    via_doc: &Result<String, E>,
+    oracle: &str,
+) -> Option<Mismatch> {
+    let bytes = engine
+        .eval_query_bytes(query, strategy)
+        .map(|(b, _)| String::from_utf8(b).unwrap_or_else(|e| format!("invalid UTF-8: {e}")));
+    let shown = |r: Result<&str, String>| match r {
+        Ok(s) => s.to_string(),
+        Err(e) => format!("error: {e}"),
+    };
+    match (via_doc, &bytes) {
+        (Ok(doc), Ok(b)) if b.strip_suffix('\n') == Some(doc.as_str()) => None,
+        (Err(_), Err(_)) => None,
+        _ => Some(Mismatch {
+            config: format!("{strategy} bytes"),
+            engine: format!(
+                "bytes: {} / document: {}",
+                shown(bytes.as_deref().map_err(|e| e.to_string())),
+                shown(via_doc.as_deref().map_err(|e| e.to_string())),
+            ),
+            oracle: oracle.to_string(),
+        }),
+    }
 }
 
 /// One disagreement between a configuration and the oracle.
@@ -267,6 +304,10 @@ fn run_case_matrix(xml: &str, query: &str) -> CaseResult {
             }
             _ => first,
         };
+        if let Some(m) = check_bytes(&engine, query, strategy, &got, &expected_str) {
+            result.mismatches.push(m);
+            continue;
+        }
         match (&expected, got) {
             (Ok(want), Ok(got)) => {
                 if *want == got {
@@ -387,6 +428,15 @@ pub fn run_storage_case(xml: &str, query: &str) -> CaseResult {
             owned_engine.eval_query_str(query, strategy).map(|d| writer::to_string(&d));
         let mapped =
             mapped_engine.eval_query_str(query, strategy).map(|d| writer::to_string(&d));
+        let reference =
+            owned.as_deref().map_or_else(|e| format!("owned error: {e}"), str::to_string);
+        let byte_paths = [(&owned_engine, &owned), (&mapped_engine, &mapped)];
+        if let Some(m) = byte_paths.into_iter().find_map(|(engine, via_doc)| {
+            check_bytes(engine, query, strategy, via_doc, &reference)
+        }) {
+            result.mismatches.push(m);
+            continue;
+        }
         match (owned, mapped) {
             (Ok(a), Ok(b)) if a == b => result.agreed += 1,
             (Err(_), Err(_)) => result.skipped += 1, // both reject: agreement
@@ -557,6 +607,10 @@ pub fn run_mutation_case(xml: &str, script: &str, query: &str) -> CaseResult {
                 continue;
             }
             (Err(_), Err(_)) => {}
+        }
+        if let Some(m) = check_bytes(&engine, query, strategy, &got, &expected_str()) {
+            result.mismatches.push(m);
+            continue;
         }
         match (&expected, got) {
             (Ok(want), Ok(got)) => {

@@ -35,7 +35,7 @@ use crate::plan::{self, ComponentPlan, Plan, Strategy};
 use crate::shape::ShapeId;
 use blossom_flwor::{BlossomError, BlossomTree, BoolExpr, Comparison, Expr, Flwor, ValueOperand};
 use blossom_xml::fxhash::FxHashSet;
-use blossom_xml::{Axis, DocStats, Document, NodeId, TagIndex};
+use blossom_xml::{Axis, ByteSink, DocStats, Document, NodeId, ResultSink, TagIndex};
 use blossom_xpath::ast::{PathExpr, PathStart};
 use blossom_xpath::SyntaxError;
 use std::fmt;
@@ -742,16 +742,30 @@ impl Engine {
         Ok((doc, self.finish_trace(query, strategy, phases)))
     }
 
-    /// Evaluate a full query through the plan cache, under its text: a
-    /// path query as a [`PathPlan`] (shared with [`Engine::eval_path_str`]),
-    /// a constructor or FLWOR query as a [`QueryPlan`], so a repeated
-    /// evaluation skips parsing and compiling.
+    /// Evaluate a full query into a result document.
     fn eval_query_timed(
         &self,
         query: &str,
         strategy: Strategy,
         phases: &mut PhaseTimings,
     ) -> Result<Document, EngineError> {
+        let mut builder = Document::builder();
+        self.eval_query_into(query, strategy, &mut builder, phases)?;
+        Ok(builder.finish())
+    }
+
+    /// Evaluate a full query through the plan cache, under its text, and
+    /// construct its result into `out`: a path query as a [`PathPlan`]
+    /// (shared with [`Engine::eval_path_str`]), a constructor or FLWOR
+    /// query as a [`QueryPlan`], so a repeated evaluation skips parsing
+    /// and compiling.
+    fn eval_query_into(
+        &self,
+        query: &str,
+        strategy: Strategy,
+        out: &mut dyn ResultSink,
+        phases: &mut PhaseTimings,
+    ) -> Result<(), EngineError> {
         let t = Instant::now();
         let cached = self.plans.get(&self.plan_key(query));
         phases.cache_lookup = t.elapsed();
@@ -764,7 +778,8 @@ impl Engine {
                 match &expr {
                     Expr::Path(p) => {
                         let nodes = self.eval_path_parsed_cached(p, query, strategy, phases)?;
-                        return Ok(self.result_of(&nodes));
+                        self.write_path_result(out, &nodes, phases);
+                        return Ok(());
                     }
                     Expr::Constructor(_) | Expr::Flwor(_) => {}
                     other => {
@@ -784,35 +799,39 @@ impl Engine {
         let q = match &*plan {
             CachedPlan::Path(path) => {
                 let nodes = self.eval_path_planned(path, strategy, phases)?;
-                return Ok(self.result_of(&nodes));
+                self.write_path_result(out, &nodes, phases);
+                return Ok(());
             }
             CachedPlan::Query(q) => q,
         };
         let t = Instant::now();
-        let mut builder = Document::builder();
         // A FLWOR's tuples are wrapped in one `<result>` element.
         let wrap = matches!(q, QueryPlan::Flwor(..));
         if wrap {
-            builder.start_element("result");
+            out.start_element("result");
         }
-        self.construct(&mut builder, q, strategy)?;
+        self.construct(out, q, strategy)?;
         if wrap {
-            builder.end_element();
+            out.end_element();
         }
-        phases.matching = t.elapsed();
-        Ok(builder.finish())
+        // Construction interleaves evaluation with writing.
+        phases.serialize = out.serialize_time();
+        phases.matching = t.elapsed().saturating_sub(phases.serialize);
+        Ok(())
     }
 
-    /// A path query's result document: the nodes' subtrees under one
-    /// `<result>` element.
-    fn result_of(&self, nodes: &[NodeId]) -> Document {
-        let mut builder = Document::builder();
-        builder.start_element("result");
-        for &n in nodes {
-            env::copy_subtree(&mut builder, &self.doc, n);
-        }
-        builder.end_element();
-        builder.finish()
+    /// A path query's result: the nodes' subtrees under one `<result>`
+    /// element.
+    fn write_path_result(
+        &self,
+        out: &mut dyn ResultSink,
+        nodes: &[NodeId],
+        phases: &mut PhaseTimings,
+    ) {
+        out.start_element("result");
+        out.copy(&self.doc, nodes);
+        out.end_element();
+        phases.serialize = out.serialize_time();
     }
 
     /// Assemble the [`QueryTrace`] from whatever the sink collected.
@@ -856,16 +875,22 @@ impl Engine {
     /// bytes `blossom query` prints plus a trailing newline — the
     /// server's response-body contract, shared by its solo and batched
     /// paths so coalesced responses are byte-identical to solo ones by
-    /// construction.
+    /// construction. The result is written straight from the source
+    /// columns by a [`ByteSink`], with no result document in between;
+    /// the time it spends copying subtrees is the trace's
+    /// [`PhaseTimings::serialize`].
     pub fn eval_query_bytes(
         &self,
         query: &str,
         strategy: Strategy,
     ) -> Result<(Vec<u8>, QueryTrace), EngineError> {
-        let (doc, trace) = self.eval_query_traced(query, strategy)?;
-        let mut text = blossom_xml::writer::to_string(&doc);
+        self.obs.reset();
+        let mut phases = PhaseTimings::default();
+        let mut sink = ByteSink::new();
+        self.eval_query_into(query, strategy, &mut sink, &mut phases)?;
+        let mut text = sink.finish();
         text.push('\n');
-        Ok((text.into_bytes(), trace))
+        Ok((text.into_bytes(), self.finish_trace(query, strategy, phases)))
     }
 
     /// Number of cached plans (diagnostics).
@@ -1093,44 +1118,42 @@ impl Engine {
         self.eval_query_timed(query, strategy, &mut PhaseTimings::default())
     }
 
-    /// Append a compiled query's result to `builder`.
+    /// Append a compiled query's result to `out`.
     fn construct(
         &self,
-        builder: &mut blossom_xml::TreeBuilder,
+        out: &mut dyn ResultSink,
         plan: &QueryPlan,
         strategy: Strategy,
     ) -> Result<(), EngineError> {
         match plan {
             QueryPlan::Text(t) => {
-                builder.text(t);
+                out.text(t);
                 Ok(())
             }
             QueryPlan::Seq(items) => {
                 for item in items {
-                    self.construct(builder, item, strategy)?;
+                    self.construct(out, item, strategy)?;
                 }
                 Ok(())
             }
             QueryPlan::Elem { name, attrs, children } => {
-                builder.start_element(name);
+                out.start_element(name);
                 for (k, v) in attrs {
-                    builder.attribute(k, v);
+                    out.attribute(k, v);
                 }
                 for child in children {
-                    self.construct(builder, child, strategy)?;
+                    self.construct(out, child, strategy)?;
                 }
-                builder.end_element();
+                out.end_element();
                 Ok(())
             }
             QueryPlan::Path(p) => {
-                for n in self.eval_path(p, strategy)? {
-                    env::copy_subtree(builder, &self.doc, n);
-                }
+                out.copy(&self.doc, &self.eval_path(p, strategy)?);
                 Ok(())
             }
             QueryPlan::Flwor(f, plan) => {
                 match (strategy, plan) {
-                    (Strategy::Auto, Ok(plan)) => self.eval_flwor_flat(builder, plan),
+                    (Strategy::Auto, Ok(plan)) => self.eval_flwor_flat(out, plan),
                     (Strategy::Auto, Err(why)) => {
                         if let Some(sink) = self.sink() {
                             sink.record_plan(PlanDecision {
@@ -1146,9 +1169,9 @@ impl Engine {
                             );
                             sink.record_executed(Strategy::Navigational);
                         }
-                        self.naive_flwor(builder, f)
+                        self.naive_flwor(out, f)
                     }
-                    _ => self.eval_flwor_into(builder, f, strategy),
+                    _ => self.eval_flwor_into(out, f, strategy),
                 }
             }
         }
@@ -1158,7 +1181,7 @@ impl Engine {
     /// tuple's constructed result.
     fn eval_flwor_flat(
         &self,
-        builder: &mut blossom_xml::TreeBuilder,
+        out: &mut dyn ResultSink,
         plan: &FlworPlan,
     ) -> Result<(), EngineError> {
         if let Some(sink) = self.sink() {
@@ -1170,7 +1193,7 @@ impl Engine {
             });
             sink.record_executed(Strategy::Pipelined);
         }
-        plan.run(&self.doc, &self.index, builder, self.sink(), &|| self.check_deadline())
+        plan.run(&self.doc, &self.index, out, self.sink(), &|| self.check_deadline())
     }
 
     /// Evaluate a FLWOR under a forced strategy with the NestedList
@@ -1178,7 +1201,7 @@ impl Engine {
     /// tuple's constructed result.
     fn eval_flwor_into(
         &self,
-        builder: &mut blossom_xml::TreeBuilder,
+        out: &mut dyn ResultSink,
         flwor: &Flwor,
         strategy: Strategy,
     ) -> Result<(), EngineError> {
@@ -1192,7 +1215,7 @@ impl Engine {
                 });
                 sink.record_executed(Strategy::Navigational);
             }
-            return self.naive_flwor(builder, flwor);
+            return self.naive_flwor(out, flwor);
         }
         // A `path op literal` where-atom becomes a mandatory value
         // constraint in the pattern, filtering match-by-match. That equals
@@ -1210,7 +1233,7 @@ impl Engine {
                 );
                 sink.record_executed(Strategy::Navigational);
             }
-            return self.naive_flwor(builder, flwor);
+            return self.naive_flwor(out, flwor);
         }
         let bt = BlossomTree::from_flwor(flwor)?;
         let d = Decomposition::decompose(&bt);
@@ -1250,7 +1273,7 @@ impl Engine {
                         );
                         sink.record_executed(Strategy::Navigational);
                     }
-                    return self.naive_flwor(builder, flwor);
+                    return self.naive_flwor(out, flwor);
                 }
                 cur = node.parent;
             }
@@ -1314,7 +1337,7 @@ impl Engine {
         }
         for tuple in &tuples {
             self.check_deadline()?;
-            env::construct(builder, &self.doc, &d.shape, tuple, &flwor.ret)?;
+            env::construct(out, &self.doc, &d.shape, tuple, &flwor.ret)?;
         }
         Ok(())
     }
@@ -1545,11 +1568,11 @@ impl Engine {
     /// navigationally per iteration. Serves as the oracle.
     pub fn naive_flwor(
         &self,
-        builder: &mut blossom_xml::TreeBuilder,
+        out: &mut dyn ResultSink,
         flwor: &Flwor,
     ) -> Result<(), EngineError> {
         for e in self.naive_envs(flwor, &[])? {
-            self.naive_construct(builder, &flwor.ret, &e)?;
+            self.naive_construct(out, &flwor.ret, &e)?;
         }
         Ok(())
     }
@@ -1739,36 +1762,34 @@ impl Engine {
 
     fn naive_construct(
         &self,
-        builder: &mut blossom_xml::TreeBuilder,
+        out: &mut dyn ResultSink,
         expr: &Expr,
         env: &[(String, Vec<NodeId>)],
     ) -> Result<(), EngineError> {
         match expr {
             Expr::Text(t) => {
-                builder.text(t);
+                out.text(t);
                 Ok(())
             }
             Expr::Sequence(items) => {
                 for i in items {
-                    self.naive_construct(builder, i, env)?;
+                    self.naive_construct(out, i, env)?;
                 }
                 Ok(())
             }
             Expr::Constructor(c) => {
-                builder.start_element(&c.name);
+                out.start_element(&c.name);
                 for (k, v) in &c.attrs {
-                    builder.attribute(k, v);
+                    out.attribute(k, v);
                 }
                 for child in &c.children {
-                    self.naive_construct(builder, child, env)?;
+                    self.naive_construct(out, child, env)?;
                 }
-                builder.end_element();
+                out.end_element();
                 Ok(())
             }
             Expr::Path(p) => {
-                for n in self.resolve_path(p, env)? {
-                    env::copy_subtree(builder, &self.doc, n);
-                }
+                out.copy(&self.doc, &self.resolve_path(p, env)?);
                 Ok(())
             }
             // A nested FLWOR is a correlated subquery: it sees the outer
@@ -1776,7 +1797,7 @@ impl Engine {
             // supported by the naive evaluator).
             Expr::Flwor(inner) => {
                 for e in self.naive_envs(inner, env)? {
-                    self.naive_construct(builder, &inner.ret, &e)?;
+                    self.naive_construct(out, &inner.ret, &e)?;
                 }
                 Ok(())
             }

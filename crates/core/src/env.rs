@@ -7,14 +7,14 @@
 //! needs: enumerate the `for`-variable combinations of each NestedList
 //! (unnesting `for` positions, keeping `let` positions as sequences),
 //! optionally sort by the `order by` key, and build the result document
-//! from the `return` expression.
+//! from the `return` expression into a [`ResultSink`].
 
 use crate::navigational;
 use crate::nestedlist::{NestedList, NlNode};
 use crate::shape::{Shape, ShapeId};
 use blossom_flwor::Expr;
 use blossom_xml::fxhash::{FxHashMap, FxHashSet};
-use blossom_xml::{Document, NodeId, NodeKind, TreeBuilder};
+use blossom_xml::{Document, NodeId, ResultSink};
 use blossom_xpath::ast::PathStart;
 use std::fmt;
 
@@ -222,31 +222,9 @@ pub fn order_tuples(
     }
 }
 
-/// Copy a source subtree into the result builder.
-pub fn copy_subtree(builder: &mut TreeBuilder, doc: &Document, node: NodeId) {
-    match doc.kind(node) {
-        NodeKind::Text => builder.text(doc.text(node).unwrap_or("")),
-        NodeKind::Element(sym) => {
-            builder.start_element(doc.symbols().name(sym));
-            for (attr, value) in doc.attributes(node) {
-                builder.attribute(doc.symbols().name(*attr), value);
-            }
-            for c in doc.children(node) {
-                copy_subtree(builder, doc, c);
-            }
-            builder.end_element();
-        }
-        NodeKind::Document => {
-            for c in doc.children(node) {
-                copy_subtree(builder, doc, c);
-            }
-        }
-    }
-}
-
-/// Construct the return expression for one tuple into `builder`.
+/// Construct the return expression for one tuple into `sink`.
 pub fn construct(
-    builder: &mut TreeBuilder,
+    sink: &mut dyn ResultSink,
     doc: &Document,
     shape: &Shape,
     tuple: &Tuple,
@@ -254,43 +232,40 @@ pub fn construct(
 ) -> Result<(), EnvError> {
     match expr {
         Expr::Text(t) => {
-            builder.text(t);
+            sink.text(t);
             Ok(())
         }
         Expr::Sequence(items) => {
             for item in items {
-                construct(builder, doc, shape, tuple, item)?;
+                construct(sink, doc, shape, tuple, item)?;
             }
             Ok(())
         }
         Expr::Constructor(c) => {
-            builder.start_element(&c.name);
+            sink.start_element(&c.name);
             for (k, v) in &c.attrs {
-                builder.attribute(k, v);
+                sink.attribute(k, v);
             }
             for child in &c.children {
-                construct(builder, doc, shape, tuple, child)?;
+                construct(sink, doc, shape, tuple, child)?;
             }
-            builder.end_element();
+            sink.end_element();
             Ok(())
         }
         Expr::Path(p) => {
-            let nodes = match &p.start {
+            match &p.start {
                 PathStart::Variable(v) => {
-                    let bound = tuple.var(shape, v);
                     if shape.by_var(v).is_none() {
                         return Err(EnvError::UnboundVariable(v.clone()));
                     }
+                    let bound = tuple.var(shape, v);
                     if p.steps.is_empty() {
-                        bound.to_vec()
+                        sink.copy(doc, bound);
                     } else {
-                        navigational::eval_from(doc, &p.steps, bound)
+                        sink.copy(doc, &navigational::eval_from(doc, &p.steps, bound));
                     }
                 }
-                _ => navigational::eval_path(doc, p, &[]),
-            };
-            for n in nodes {
-                copy_subtree(builder, doc, n);
+                _ => sink.copy(doc, &navigational::eval_path(doc, p, &[])),
             }
             Ok(())
         }

@@ -40,7 +40,6 @@
 
 use crate::decompose::Decomposition;
 use crate::engine::EngineError;
-use crate::env::copy_subtree;
 use crate::flat::FlatPlan;
 use crate::navigational::{self, ResolvedSteps};
 use crate::obs::{OpCounters, TraceSink};
@@ -48,7 +47,7 @@ use crate::value::sequences_deep_equal;
 use blossom_flwor::{BindingKind, BlossomTree, BoolExpr, Comparison, Expr, Flwor, SortOrder};
 use blossom_flwor::ValueOperand;
 use blossom_xml::fxhash::FxHasher;
-use blossom_xml::{DocStats, Document, NodeId, NodeKind, TagIndex, TreeBuilder};
+use blossom_xml::{DocStats, Document, NodeId, NodeKind, ResultSink, TagIndex};
 use blossom_xpath::ast::{CmpOp, Literal, PathExpr, PathStart};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -640,14 +639,14 @@ impl FlworPlan {
     }
 
     /// Evaluate the plan, appending each tuple's `return` construction to
-    /// `builder`. `poll` runs between operators and once per outer row
+    /// `out`. `poll` runs between operators and once per outer row
     /// inside column expansion, joins and construction; with a `sink`
     /// every operator records one counter row, `"<position> <operator>"`.
     pub fn run(
         &self,
         doc: &Document,
         index: &TagIndex,
-        builder: &mut TreeBuilder,
+        out: &mut dyn ResultSink,
         sink: Option<&TraceSink>,
         poll: &dyn Fn() -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
@@ -735,7 +734,7 @@ impl FlworPlan {
                 Op::Construct => {
                     for t in 0..st.count() {
                         poll()?;
-                        st.construct(builder, &self.ret, t);
+                        st.construct(out, &self.ret, t);
                     }
                     c.output = st.count() as u64;
                 }
@@ -1060,23 +1059,19 @@ impl Run<'_> {
             .collect();
     }
 
-    fn construct(&self, builder: &mut TreeBuilder, ret: &Ret, t: usize) {
+    fn construct(&self, out: &mut dyn ResultSink, ret: &Ret, t: usize) {
         match ret {
-            Ret::Text(text) => builder.text(text),
-            Ret::Seq(items) => items.iter().for_each(|i| self.construct(builder, i, t)),
+            Ret::Text(text) => out.text(text),
+            Ret::Seq(items) => items.iter().for_each(|i| self.construct(out, i, t)),
             Ret::Elem { name, attrs, children } => {
-                builder.start_element(name);
+                out.start_element(name);
                 for (k, v) in attrs {
-                    builder.attribute(k, v);
+                    out.attribute(k, v);
                 }
-                children.iter().for_each(|i| self.construct(builder, i, t));
-                builder.end_element();
+                children.iter().for_each(|i| self.construct(out, i, t));
+                out.end_element();
             }
-            Ret::Nodes(o) => {
-                for &n in self.nodes(*o, self.row(t, o.comp)) {
-                    copy_subtree(builder, self.doc, n);
-                }
-            }
+            Ret::Nodes(o) => out.copy(self.doc, self.nodes(*o, self.row(t, o.comp))),
         }
     }
 }

@@ -332,8 +332,10 @@ pub struct PhaseTimings {
     pub matching: Duration,
     /// Result assembly: projection, sort, dedup.
     pub merge: Duration,
-    /// Result serialization (filled by the CLI; the engine returns a
-    /// document, not bytes).
+    /// Result serialization: the time [`crate::Engine::eval_query_bytes`]'s
+    /// byte sink spends writing source subtrees (not counted in
+    /// `matching`), or the CLI's `--pretty` writer. Zero when the engine
+    /// returns a document rather than bytes.
     pub serialize: Duration,
 }
 

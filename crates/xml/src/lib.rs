@@ -15,7 +15,8 @@
 //!   by holistic twig joins,
 //! * document statistics ([`stats::DocStats`]) — depth, tag counts and
 //!   recursion degree — which the optimizer uses to choose join operators,
-//! * a serializer ([`writer`]) for round-tripping and result construction.
+//! * a serializer ([`writer`]) for round-tripping, and result construction
+//!   sinks ([`sink`]) that build a result document or write its bytes.
 //!
 //! # Quick example
 //!
@@ -38,6 +39,7 @@ pub mod load;
 pub mod mutate;
 pub mod navigate;
 pub mod parser;
+pub mod sink;
 pub mod stats;
 pub mod succinct;
 pub mod symbol;
@@ -51,6 +53,7 @@ pub use label::Region;
 pub use mutate::{Mutation, Splice};
 pub use navigate::Axis;
 pub use parser::{Event, ParseError, Reader};
+pub use sink::{ByteSink, ResultSink};
 pub use stats::DocStats;
 pub use symbol::{Sym, SymbolTable};
 

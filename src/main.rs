@@ -77,6 +77,7 @@ use blossomtree::xmlgen::{generate, Dataset};
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -158,28 +159,32 @@ fn run(args: &[String]) -> Result<String, String> {
             )?;
             // The query result always goes to stdout, byte-identical with
             // and without profiling; the trace goes to stderr / a file.
-            let mut result = None;
-            let mut trace = None;
+            // Without `--pretty` the result is written straight to bytes,
+            // exactly as the server writes its response bodies.
+            let mut last = None;
             for _ in 0..repeat {
-                if tracing {
-                    let (doc, t) =
+                last = Some(if pretty {
+                    let (doc, mut trace) =
                         engine.eval_query_traced(query, strategy).map_err(|e| e.to_string())?;
-                    result = Some(doc);
-                    trace = Some(t);
+                    let t = Instant::now();
+                    let text = writer::to_string_pretty(&doc);
+                    trace.phases.serialize = t.elapsed();
+                    (text, trace)
                 } else {
-                    result =
-                        Some(engine.eval_query_str(query, strategy).map_err(|e| e.to_string())?);
-                }
+                    let (bytes, trace) =
+                        engine.eval_query_bytes(query, strategy).map_err(|e| e.to_string())?;
+                    let mut text = String::from_utf8(bytes).expect("the writer emits UTF-8");
+                    text.pop(); // the trailing newline: `println!` writes it
+                    (text, trace)
+                });
             }
-            let result = result.expect("repeat >= 1");
-            if let Some(t) = &trace {
-                if profile {
-                    eprintln!("{}", t.render());
-                }
-                if let Some(path) = profile_json {
-                    std::fs::write(path, t.to_json())
-                        .map_err(|e| format!("writing {path}: {e}"))?;
-                }
+            let (result, trace) = last.expect("repeat >= 1");
+            if profile {
+                eprintln!("{}", trace.render());
+            }
+            if let Some(path) = profile_json {
+                std::fs::write(path, trace.to_json())
+                    .map_err(|e| format!("writing {path}: {e}"))?;
             }
             if repeat > 1 {
                 let c = engine.cache_stats();
@@ -188,11 +193,7 @@ fn run(args: &[String]) -> Result<String, String> {
                     c.hits, c.misses, c.len, c.capacity
                 );
             }
-            Ok(if pretty {
-                writer::to_string_pretty(&result)
-            } else {
-                writer::to_string(&result)
-            })
+            Ok(result)
         }
         "explain" => {
             let file = arg(args, 1)?;
@@ -767,6 +768,31 @@ mod tests {
             "\"counters_enabled\"",
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
+        }
+    }
+
+    /// The profile's `serialize` phase is the byte sink's writing time,
+    /// and the pretty printer's under `--pretty`: non-zero for a
+    /// non-empty result.
+    #[test]
+    fn profile_reports_the_serialize_phase() {
+        let xml = tmp("pserialize.xml");
+        run(&s(&["gen", "d2", &xml, "--nodes", "20000", "--seed", "3"])).unwrap();
+        let out = tmp("pserialize.json");
+        for pretty in [false, true] {
+            let mut args = s(&["query", &xml, "/*", "--profile-json", &out]);
+            if pretty {
+                args.push("--pretty".into());
+            }
+            run(&args).unwrap();
+            let json = std::fs::read_to_string(&out).unwrap();
+            let us: u64 = json
+                .split("\"serialize\": ")
+                .nth(1)
+                .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("no serialize phase in {json}"));
+            assert!(us > 0, "pretty={pretty}: serialize=0 in {json}");
         }
     }
 
