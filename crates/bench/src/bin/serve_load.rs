@@ -13,10 +13,9 @@
 //!    delay shows up in the measured latency instead of being hidden
 //!    by coordinated omission. Latency is measured **from the
 //!    scheduled arrival**, not from the send. The sweep runs each
-//!    offered rate against both serving models (`event-loop` and
-//!    `thread-per-request`), tracing each model's latency curve up to
-//!    and past its overload knee; admission rejections (503) count as
-//!    graceful degradation, not errors.
+//!    offered rate against a fresh event-loop server, tracing its
+//!    latency curve up to and past its overload knee; admission
+//!    rejections (503) count as graceful degradation, not errors.
 //!
 //! ```text
 //! cargo run --release -p blossom-bench --bin serve_load
@@ -28,8 +27,7 @@
 //! * `--addr A`             drive an already-running server instead of
 //!                          spawning one per phase in-process (the
 //!                          open-loop phase then measures that one
-//!                          server, labeled `external`, since the io
-//!                          model of a live process can't be swapped)
+//!                          server, labeled `external`)
 //! * `--connections N`      closed-loop connections (default 4)
 //! * `--rounds N`           closed-loop sweeps of the 30-query matrix
 //!                          per connection (default 2)
@@ -44,7 +42,6 @@
 //!                          if the server's idle-connection cost is)
 //! * `--open-seconds S`     scheduled arrival window per rate (default 2)
 //! * `--no-open`            skip the open-loop phase
-//! * `--no-compare-io-models` open-loop against `event-loop` only
 //! * `--out FILE`           report path (default `BENCH_server.json`)
 //!
 //! Besides the matrix sweep, the run sends one deliberately malformed
@@ -57,7 +54,7 @@ use blossom_bench::timing::{write_report, Json};
 use blossom_bench::Args;
 use blossom_core::{Engine, Strategy};
 use blossom_server::span::STAGE_NAMES;
-use blossom_server::{promtext, Client, IoModel, Server, ServerConfig, ServerHandle};
+use blossom_server::{promtext, Client, Server, ServerConfig};
 use blossom_xml::writer;
 use blossom_xmlgen::{generate, Dataset};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -237,21 +234,6 @@ fn open_run_json(run: &OpenRun) -> Json {
     ])
 }
 
-/// Spawn an in-process server configured for one open-loop run.
-/// `thread-per-request` gets one worker per connection — the honest
-/// version of that model at this connection count (fewer workers would
-/// strand keep-alive connections forever); the event loop keeps its
-/// small default execution pool, which is the point of the comparison.
-fn spawn_model(model: IoModel, connections: usize) -> ServerHandle {
-    let workers = match model {
-        IoModel::ThreadPerRequest => connections,
-        IoModel::EventLoop => ServerConfig::default().workers,
-    };
-    Server::bind(ServerConfig { io_model: model, workers, ..ServerConfig::default() })
-    .expect("bind ephemeral port")
-    .spawn()
-}
-
 fn main() {
     let args = Args::parse();
     let connections: usize = args.get("connections").unwrap_or(4);
@@ -271,7 +253,6 @@ fn main() {
             .collect(),
     };
     let run_open = !args.has("no-open");
-    let compare_models = !args.has("no-compare-io-models");
 
     // Spawn in-process unless pointed at a live server.
     let (addr, handle) = match &external {
@@ -469,76 +450,58 @@ fn main() {
     }
 
     // Phase 2 — open-loop curves: one cheap query fired on a fixed
-    // arrival schedule through a big connection pool, per (model,
-    // rate). Identical queries are deliberate: under overload they are
-    // exactly what the shared-scan batcher coalesces.
+    // arrival schedule through a big connection pool, per rate.
+    // Identical queries are deliberate: under overload they are exactly
+    // what the shared-scan batcher coalesces.
     let open_case = &cases[0];
-    let mut model_sections: Vec<Json> = Vec::new();
+    let label = if external.is_some() { "external" } else { "event-loop" };
+    let mut rate_rows: Vec<Json> = Vec::new();
     if run_open {
-        let models: Vec<(String, Option<IoModel>)> = if external.is_some() {
-            vec![("external".into(), None)]
-        } else if compare_models {
-            vec![
-                ("event-loop".into(), Some(IoModel::EventLoop)),
-                ("thread-per-request".into(), Some(IoModel::ThreadPerRequest)),
-            ]
-        } else {
-            vec![("event-loop".into(), Some(IoModel::EventLoop))]
-        };
-        for (label, model) in models {
-            let mut rate_rows: Vec<Json> = Vec::new();
-            for &rate in &rates {
-                // A fresh server per run so queue state and stats never
-                // leak across measurements.
-                let (run_addr, run_handle) = match model {
-                    Some(m) => {
-                        let h = spawn_model(m, open_connections);
-                        (h.addr().to_string(), Some(h))
-                    }
-                    None => (addr.clone(), None),
-                };
-                let mut loader = Client::connect(&*run_addr).expect("connect loader");
-                let loaded = loader
-                    .load(&open_case.doc_name, first_doc_xml.as_bytes())
-                    .expect("POST /load");
-                assert_eq!(loaded.status, 200, "{}", loaded.body_str());
-                let run = open_loop(
-                    &run_addr,
-                    &open_case.doc_name,
-                    open_case.query,
-                    &open_case.expected,
-                    rate,
-                    open_connections,
-                    open_seconds,
+        for &rate in &rates {
+            // A fresh server per run so queue state and stats never
+            // leak across measurements.
+            let run_handle = external.is_none().then(|| {
+                Server::bind(ServerConfig::default()).expect("bind ephemeral port").spawn()
+            });
+            let run_addr = run_handle.as_ref().map_or(addr.clone(), |h| h.addr().to_string());
+            let mut loader = Client::connect(&*run_addr).expect("connect loader");
+            let loaded =
+                loader.load(&open_case.doc_name, first_doc_xml.as_bytes()).expect("POST /load");
+            assert_eq!(loaded.status, 200, "{}", loaded.body_str());
+            let run = open_loop(
+                &run_addr,
+                &open_case.doc_name,
+                open_case.query,
+                &open_case.expected,
+                rate,
+                open_connections,
+                open_seconds,
+            );
+            println!(
+                "serve_load: open-loop [{label}] offered {rate:.0} rps -> achieved \
+                 {:.0} rps, served {} rejected {} errors {}, \
+                 from-arrival p50 {}us p99 {}us",
+                (run.served + run.rejected_503) as f64 / run.wall.as_secs_f64(),
+                run.served,
+                run.rejected_503,
+                run.errors,
+                pct(&run.from_arrival_us, 50.0),
+                pct(&run.from_arrival_us, 99.0),
+            );
+            mismatches += run.mismatches;
+            // Lost requests (neither answered nor rejected) mean the
+            // run under-measured; surface them as mismatches too.
+            if run.errors > run.arrivals / 10 {
+                eprintln!(
+                    "serve_load: [{label}] {} of {} open-loop requests errored",
+                    run.errors, run.arrivals
                 );
-                println!(
-                    "serve_load: open-loop [{label}] offered {rate:.0} rps -> achieved \
-                     {:.0} rps, served {} rejected {} errors {}, \
-                     from-arrival p50 {}us p99 {}us",
-                    (run.served + run.rejected_503) as f64 / run.wall.as_secs_f64(),
-                    run.served,
-                    run.rejected_503,
-                    run.errors,
-                    pct(&run.from_arrival_us, 50.0),
-                    pct(&run.from_arrival_us, 99.0),
-                );
-                mismatches += run.mismatches;
-                // Lost requests (neither answered nor rejected) mean the
-                // run under-measured; surface them as mismatches too.
-                if run.errors > run.arrivals / 10 {
-                    eprintln!(
-                        "serve_load: [{label}] {} of {} open-loop requests errored",
-                        run.errors, run.arrivals
-                    );
-                    mismatches += 1;
-                }
-                rate_rows.push(open_run_json(&run));
-                if let Some(h) = run_handle {
-                    h.shutdown();
-                }
+                mismatches += 1;
             }
-            model_sections
-                .push(Json::obj([("io_model", Json::str(&label)), ("rates", Json::arr(rate_rows))]));
+            rate_rows.push(open_run_json(&run));
+            if let Some(h) = run_handle {
+                h.shutdown();
+            }
         }
     }
 
@@ -588,7 +551,8 @@ fn main() {
                     ("seconds_per_rate", Json::Num(open_seconds)),
                     ("doc", Json::str(&open_case.doc_name)),
                     ("query", Json::str(open_case.query)),
-                    ("models", Json::arr(model_sections)),
+                    ("server", Json::str(label)),
+                    ("rates", Json::arr(rate_rows)),
                 ])
             } else {
                 Json::Null

@@ -6,10 +6,9 @@
 //!
 //! * **cold-load** — for each paper dataset, the wall-clock to go from
 //!   bytes on disk to a queryable `(Document, TagIndex, DocStats)`
-//!   triple, four ways: parse the XML, decode the BLM1 varint stream,
-//!   decode a BLM2 image onto the heap, and `mmap` the BLM2 file. The
-//!   mapped open touches O(columns) bytes, not O(nodes), so its cost
-//!   must stay flat as documents grow.
+//!   triple, three ways: parse the XML, decode a BLM2 image onto the
+//!   heap, and `mmap` the BLM2 file. The mapped open touches O(columns)
+//!   bytes, not O(nodes), so its cost must stay flat as documents grow.
 //! * **query-latency** — the same queries over an owned engine and a
 //!   mapped engine, interleaved; mapped columns must not tax steady-
 //!   state evaluation once pages are warm.
@@ -29,7 +28,7 @@ use blossom_bench::Args;
 use blossom_core::{EngineOptions, SharedPlanCache, Strategy};
 use blossom_server::catalog::Catalog;
 use blossom_storage::{snapshot, EncodeOptions, OpenMode, StoreDir};
-use blossom_xml::{succinct, writer, Document, TagIndex};
+use blossom_xml::{writer, Document, TagIndex};
 use blossom_xmlgen::{generate, Dataset};
 use std::sync::Arc;
 
@@ -83,7 +82,6 @@ fn main() {
         let xml = writer::to_string(&doc);
         let index = TagIndex::build(&doc);
         let stats = doc.stats();
-        let blm1 = succinct::encode_with_stats(&doc, &stats);
         let blm2 = snapshot::encode(&doc, &index, &stats, EncodeOptions { succinct: false })
             .expect("encode");
         let blm2_path = scratch.join(format!("{}.blm2", dataset.name()));
@@ -96,11 +94,6 @@ fn main() {
             std::hint::black_box((i, s));
             d.len()
         };
-        let decode_blm1 = || {
-            let loaded =
-                blossom_storage::load::loaded_from_bytes(&blm1, "bench.blsm").expect("blm1");
-            loaded.doc.len()
-        };
         let open_heap = || {
             let snap = snapshot::open_bytes(&blm2).expect("heap open");
             snap.doc.len()
@@ -111,17 +104,14 @@ fn main() {
         };
 
         let xml_t = timing::time(&format!("{}-parse-xml", dataset.name()), 1, runs, parse_xml);
-        let blm1_t = timing::time(&format!("{}-decode-blm1", dataset.name()), 1, runs, decode_blm1);
         let heap_t = timing::time(&format!("{}-open-blm2-heap", dataset.name()), 1, runs, open_heap);
         let map_t = timing::time(&format!("{}-map-blm2", dataset.name()), 1, runs, open_map);
         let speedup_vs_parse = xml_t.min.as_secs_f64() / map_t.min.as_secs_f64().max(1e-12);
-        let speedup_vs_blm1 = blm1_t.min.as_secs_f64() / map_t.min.as_secs_f64().max(1e-12);
         eprintln!(
-            "{:<3} {:>8} nodes  parse {:>10.2?}  blm1 {:>10.2?}  blm2-heap {:>10.2?}  blm2-map {:>10.2?}  map vs parse {:.0}x",
+            "{:<3} {:>8} nodes  parse {:>10.2?}  blm2-heap {:>10.2?}  blm2-map {:>10.2?}  map vs parse {:.0}x",
             dataset.name(),
             doc.len(),
             xml_t.min,
-            blm1_t.min,
             heap_t.min,
             map_t.min,
             speedup_vs_parse
@@ -130,14 +120,11 @@ fn main() {
             ("dataset", Json::str(dataset.name())),
             ("nodes", Json::Num(doc.len() as f64)),
             ("xml_bytes", Json::Num(xml.len() as f64)),
-            ("blm1_bytes", Json::Num(blm1.len() as f64)),
             ("blm2_bytes", Json::Num(blm2.len() as f64)),
             ("parse_xml_min_s", Json::Num(xml_t.min.as_secs_f64())),
-            ("decode_blm1_min_s", Json::Num(blm1_t.min.as_secs_f64())),
             ("open_blm2_heap_min_s", Json::Num(heap_t.min.as_secs_f64())),
             ("map_blm2_min_s", Json::Num(map_t.min.as_secs_f64())),
             ("map_speedup_vs_parse", Json::Num(speedup_vs_parse)),
-            ("map_speedup_vs_blm1", Json::Num(speedup_vs_blm1)),
         ]));
 
         // --------------------------------------------------------------

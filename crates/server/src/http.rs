@@ -7,14 +7,11 @@
 //! too many headers, and oversized bodies are rejected early with 4xx
 //! before any work happens; see `DESIGN.md` §10/§12 for the grammar.
 //!
-//! Two entry points share the same grammar: [`read_request`] pulls one
-//! request off a blocking `BufRead` (the client and the legacy
-//! thread-per-request path), and [`parse_request_bytes`] parses
+//! The one entry point is [`parse_request_bytes`]: it parses
 //! incrementally out of a byte buffer that may hold a partial request,
 //! a complete one, or several pipelined ones — the event loop's framing
 //! primitive, safe to call again as more TCP segments arrive.
-
-use std::io::{BufRead, Read, Write};
+//! [`render_response`] is its output half.
 
 /// Longest accepted request/header line, in bytes.
 pub const MAX_LINE: usize = 8 * 1024;
@@ -63,94 +60,6 @@ impl Request {
             .find(|(k, _)| k.eq_ignore_ascii_case(name))
             .map(|(_, v)| v.as_str())
     }
-}
-
-/// Outcome of waiting for the next request on a keep-alive connection.
-#[derive(Debug)]
-pub enum Next {
-    /// A complete request.
-    Request(Request),
-    /// Clean close: EOF before the first byte of a request line.
-    Closed,
-    /// A read timeout fired before any byte of the next request arrived
-    /// (idle keep-alive, when the socket has a read timeout). Safe to
-    /// retry — nothing was consumed — or to close during shutdown.
-    Idle,
-}
-
-enum Line {
-    Some(String),
-    Eof,
-    Idle,
-}
-
-/// Read one line terminated by `\n`, stripping a trailing `\r`, bounded
-/// by [`MAX_LINE`].
-fn read_line(reader: &mut impl BufRead) -> Result<Line, HttpError> {
-    let mut line = Vec::new();
-    let mut limited = reader.take(MAX_LINE as u64 + 1);
-    let n = match limited.read_until(b'\n', &mut line) {
-        Ok(n) => n,
-        // A timeout with nothing consumed leaves framing intact.
-        Err(e)
-            if line.is_empty()
-                && matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-        {
-            return Ok(Line::Idle);
-        }
-        Err(e) => return Err(HttpError::new(400, format!("reading request: {e}"))),
-    };
-    if n == 0 {
-        return Ok(Line::Eof);
-    }
-    if line.len() > MAX_LINE {
-        return Err(HttpError::new(431, format!("request line over {MAX_LINE} bytes")));
-    }
-    if line.last() == Some(&b'\n') {
-        line.pop();
-    }
-    if line.last() == Some(&b'\r') {
-        line.pop();
-    }
-    String::from_utf8(line)
-        .map(Line::Some)
-        .map_err(|_| HttpError::new(400, "request line not UTF-8"))
-}
-
-/// Read one request off the connection. `max_body` bounds the accepted
-/// `Content-Length`. Timeouts *inside* a request (after its first byte)
-/// are errors — framing is lost — but before it they are [`Next::Idle`].
-pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Next, HttpError> {
-    let request_line = match read_line(reader)? {
-        Line::Some(line) => line,
-        Line::Eof => return Ok(Next::Closed),
-        Line::Idle => return Ok(Next::Idle),
-    };
-    let (method, target) = split_request_line(&request_line)?;
-    let (method, target) = (method.to_string(), target.to_string());
-
-    let mut headers = Vec::new();
-    loop {
-        let line = match read_line(reader)? {
-            Line::Some(line) => line,
-            Line::Eof => return Err(HttpError::new(400, "connection closed inside headers")),
-            Line::Idle => return Err(HttpError::new(400, "timed out inside headers")),
-        };
-        if line.is_empty() {
-            break;
-        }
-        push_header(&mut headers, &line)?;
-    }
-
-    let content_length = content_length_of(&headers, max_body)?;
-    let mut body = vec![0u8; content_length];
-    reader
-        .read_exact(&mut body)
-        .map_err(|e| HttpError::new(400, format!("reading body: {e}")))?;
-    Ok(Next::Request(assemble(&method, &target, headers, body)))
 }
 
 /// Split and validate `METHOD /target HTTP/1.x`.
@@ -261,8 +170,8 @@ fn take_line(buf: &[u8], start: usize) -> Result<Option<(&str, usize)>, HttpErro
 /// This is restartable: on [`Parsed::Partial`] the caller appends newly
 /// received bytes and calls again (re-scanning a partial request is
 /// cheap — requests are small and bodies are length-checked before they
-/// accumulate). Errors are terminal for the connection, exactly like
-/// [`read_request`]'s: framing can no longer be trusted.
+/// accumulate). Errors are terminal for the connection: framing can no
+/// longer be trusted.
 pub fn parse_request_bytes(buf: &[u8], max_body: usize) -> Result<Parsed, HttpError> {
     let Some((request_line, mut pos)) = take_line(buf, 0)? else {
         return Ok(Parsed::Partial);
@@ -401,38 +310,24 @@ pub fn render_response(
     response
 }
 
-/// Write one response with `Content-Length` framing. `close` adds
-/// `Connection: close` so the client knows not to reuse the socket.
-pub fn write_response(
-    w: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    close: bool,
-) -> std::io::Result<()> {
-    // One write per response: split small writes stall behind Nagle's
-    // algorithm waiting on the peer's delayed ACK.
-    w.write_all(&render_response(status, content_type, body, close, &[]))?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &[u8]) -> Result<Option<Request>, HttpError> {
-        match read_request(&mut BufReader::new(raw), 1024)? {
-            Next::Request(r) => Ok(Some(r)),
-            Next::Closed => Ok(None),
-            Next::Idle => panic!("in-memory readers never time out"),
+    /// Parse one buffer that must hold exactly one complete request.
+    fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+        match parse_request_bytes(raw, 1024)? {
+            Parsed::Complete { request, consumed } => {
+                assert_eq!(consumed, raw.len(), "trailing bytes after the request");
+                Ok(request)
+            }
+            Parsed::Partial => panic!("complete request reported partial"),
         }
     }
 
     #[test]
     fn get_with_params_round_trips() {
         let r = parse(b"GET /query?doc=bib&q=%2F%2Fbook%5Btitle%5D&x=a+b HTTP/1.1\r\nHost: h\r\n\r\n")
-            .unwrap()
             .unwrap();
         assert_eq!(r.method, "GET");
         assert_eq!(r.path, "/query");
@@ -445,15 +340,16 @@ mod tests {
     #[test]
     fn post_reads_content_length_body() {
         let r = parse(b"POST /load?name=d HTTP/1.1\r\nContent-Length: 5\r\n\r\n<r/>\n")
-            .unwrap()
             .unwrap();
         assert_eq!(r.body, b"<r/>\n");
         assert_eq!(r.header("content-length"), Some("5"));
     }
 
+    /// An empty buffer is `Partial`, not an error: nothing was consumed,
+    /// so a peer that closes here closes cleanly.
     #[test]
     fn eof_before_request_is_clean_close() {
-        assert!(parse(b"").unwrap().is_none());
+        assert!(matches!(parse_request_bytes(b"", 1024), Ok(Parsed::Partial)));
     }
 
     #[test]
@@ -475,7 +371,7 @@ mod tests {
 
     #[test]
     fn connection_close_disables_keep_alive() {
-        let r = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap().unwrap();
+        let r = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!r.keep_alive);
     }
 
@@ -582,11 +478,145 @@ mod tests {
 
     #[test]
     fn response_has_length_framing() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, "text/plain", b"hi", false).unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(render_response(200, "text/plain", b"hi", false, &[])).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("Content-Length: 2\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\nhi"), "{text}");
+    }
+
+    /// Valid requests the fuzz tests below start from: every framing
+    /// feature the grammar has (parameters, escapes, bodies holding
+    /// CRLF, `Connection: close`, many headers, an empty body).
+    const VALID: &[&[u8]] = &[
+        b"GET /healthz HTTP/1.1\r\n\r\n",
+        b"GET /query?doc=bib&q=%2F%2Fbook%5Btitle%5D&x=a+b HTTP/1.1\r\nHost: h\r\n\r\n",
+        b"POST /load?name=d HTTP/1.1\r\nHost: h\r\nContent-Length: 5\r\n\r\n<r/>\n",
+        b"POST /update?doc=d HTTP/1.1\r\nContent-Length: 12\r\n\r\ndelete 1.1\r\n",
+        b"GET /stats HTTP/1.0\nConnection: close\n\n",
+        b"POST /shutdown HTTP/1.1\r\nContent-Length: 0\r\nX-A: 1\r\nX-B: : 2\r\n\r\n",
+    ];
+
+    /// SplitMix64: a seeded, dependency-free generator, so every run
+    /// fuzzes the same inputs.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `raw` with its `Content-Length` header (added when absent) set to
+    /// `value`, the body left as it was.
+    fn with_content_length(raw: &[u8], value: &str) -> Vec<u8> {
+        let text = String::from_utf8(raw.to_vec()).unwrap();
+        let (head, body) = text.split_once("\r\n\r\n").unwrap_or((&text, ""));
+        let mut lines: Vec<String> = head
+            .lines()
+            .filter(|l| !l.is_empty() && !l.to_ascii_lowercase().starts_with("content-length"))
+            .map(str::to_string)
+            .collect();
+        lines.push(format!("Content-Length: {value}"));
+        format!("{}\r\n\r\n{body}", lines.join("\r\n")).into_bytes()
+    }
+
+    /// Seeded hostile input: 2,000 mutations of valid requests — bit
+    /// flips, truncations, inserted `\r`/`\n`/`:`, and oversized or
+    /// non-numeric `Content-Length` values. The parser never panics,
+    /// every error is a 400, 413 or 431, and a complete parse never
+    /// claims more bytes than the buffer holds.
+    #[test]
+    fn seeded_mutations_never_panic_and_error_as_4xx() {
+        const MAX_BODY: usize = 1024;
+        let oversized = ["1025", "99999", "18446744073709551615"];
+        let non_numeric = ["", "nope", "-1", "0x10", "5 5", "18446744073709551616", "1e3"];
+        let mut rng = Rng(0x48_54_54_50);
+        for round in 0..2_000 {
+            let base = VALID[rng.below(VALID.len())];
+            let mut buf = base.to_vec();
+            let kind = round % 5;
+            match kind {
+                0 => {
+                    for _ in 0..1 + rng.below(3) {
+                        let at = rng.below(buf.len());
+                        buf[at] ^= 1 << rng.below(8);
+                    }
+                }
+                1 => buf.truncate(rng.below(buf.len())),
+                2 => {
+                    for _ in 0..1 + rng.below(3) {
+                        let at = rng.below(buf.len() + 1);
+                        buf.insert(at, [b'\r', b'\n', b':'][rng.below(3)]);
+                    }
+                }
+                _ => {
+                    let value = if kind == 3 {
+                        oversized[rng.below(oversized.len())]
+                    } else {
+                        non_numeric[rng.below(non_numeric.len())]
+                    };
+                    buf = with_content_length(base, value);
+                    let status = parse_request_bytes(&buf, MAX_BODY).unwrap_err().status;
+                    let want = if kind == 3 { 413 } else { 400 };
+                    assert_eq!(status, want, "Content-Length {value:?} in {buf:?}");
+                    continue;
+                }
+            }
+            match parse_request_bytes(&buf, MAX_BODY) {
+                Ok(Parsed::Complete { consumed, .. }) => {
+                    assert!(0 < consumed && consumed <= buf.len(), "{buf:?}")
+                }
+                Ok(Parsed::Partial) => {}
+                Err(e) => assert!(
+                    matches!(e.status, 400 | 413 | 431),
+                    "status {} for {buf:?}",
+                    e.status
+                ),
+            }
+        }
+    }
+
+    /// Every valid request split at every offset: each strict prefix is
+    /// `Partial` (the parser keeps no state, so the next segment simply
+    /// extends the buffer), and only the last byte completes it, with
+    /// `consumed` the whole request.
+    #[test]
+    fn every_split_is_partial_until_the_last_byte() {
+        for raw in VALID {
+            let Parsed::Complete { consumed, .. } = parse_request_bytes(raw, 1024).unwrap() else {
+                panic!("valid request {raw:?} is partial");
+            };
+            assert_eq!(consumed, raw.len());
+            for cut in 0..raw.len() {
+                assert!(
+                    matches!(parse_request_bytes(&raw[..cut], 1024), Ok(Parsed::Partial)),
+                    "prefix {cut} of {raw:?}"
+                );
+            }
+        }
+    }
+
+    /// Two pipelined requests: the first parse consumes exactly the first
+    /// request's bytes, for every ordered pair of valid requests.
+    #[test]
+    fn pipelined_pairs_consume_the_first_request_only() {
+        for first in VALID {
+            for second in VALID {
+                let buf = [*first, *second].concat();
+                let Parsed::Complete { consumed, .. } = parse_request_bytes(&buf, 1024).unwrap()
+                else {
+                    panic!("pipelined pair is partial");
+                };
+                assert_eq!(consumed, first.len(), "{buf:?}");
+            }
+        }
     }
 }

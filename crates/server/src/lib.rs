@@ -31,13 +31,12 @@
 //!   `?trace=1`;
 //! * [`sched`] — the bounded per-client fair execution queue and the
 //!   shared-scan batch registry;
-//! * [`eventloop`] — the default serving core: nonblocking I/O threads
+//! * [`eventloop`] — the serving core: nonblocking I/O threads
 //!   owning connection state machines (incremental framing,
 //!   pipelining, keep-alive without timeout polling), an execution
 //!   pool, request coalescing, and admission control;
 //! * [`server`] — configuration, request routing, per-request
-//!   deadlines, graceful drain, and the thread-per-request baseline
-//!   core;
+//!   deadlines, and graceful drain;
 //! * [`client`] — a small blocking client used by the load harness,
 //!   the differential tester's server mode, and the tests.
 
@@ -54,7 +53,7 @@ pub mod span;
 pub mod sys;
 
 pub use client::{Client, Response};
-pub use server::{IoModel, Server, ServerConfig, ServerHandle};
+pub use server::{Server, ServerConfig, ServerHandle};
 
 /// Render `s` as a JSON string literal (quotes, backslashes, control
 /// characters escaped) — the one JSON primitive the server needs.

@@ -247,7 +247,6 @@ pub fn endpoint_index(path: &str) -> usize {
 /// Gauges owned by other subsystems, handed in for one `/metrics`
 /// render.
 pub struct PromGauges {
-    pub io_model: String,
     pub uptime_seconds: f64,
     pub queue_depth: u64,
     pub queue_peak: u64,
@@ -501,8 +500,6 @@ impl Metrics {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed) as f64;
         let mut out = String::with_capacity(16 * 1024);
 
-        header(&mut out, "blossomd_info", "Build/runtime facts as labels.", "gauge");
-        sample(&mut out, "blossomd_info", &[("io_model", &g.io_model)], 1.0);
         header(&mut out, "blossomd_uptime_seconds", "Seconds since the server started.", "gauge");
         sample(&mut out, "blossomd_uptime_seconds", &[], g.uptime_seconds);
 
@@ -684,7 +681,6 @@ mod tests {
 
     fn gauges() -> PromGauges {
         PromGauges {
-            io_model: "event-loop".to_string(),
             uptime_seconds: 1.5,
             queue_depth: 0,
             queue_peak: 3,
@@ -967,7 +963,6 @@ mod tests {
         let expo = m.render_prometheus(&gauges());
         crate::promtext::check(&expo).expect("well-formed");
         assert!(expo.contains("blossomd_requests_total 7"), "{expo}");
-        assert!(expo.contains("blossomd_info{io_model=\"event-loop\"} 1"), "{expo}");
         assert!(expo.contains("blossomd_queue_capacity 1024"), "{expo}");
         assert!(
             expo.contains("blossomd_queries_by_strategy_total{strategy=\"twigstack\"} 1"),

@@ -1,16 +1,12 @@
-//! `blossomd`: the concurrent query server. Two serving cores share the
-//! routing/evaluation layer in this module:
-//!
-//! * [`IoModel::EventLoop`] (default) — readiness-driven nonblocking
-//!   I/O ([`crate::eventloop`]): a few I/O threads own all connection
-//!   state, a separate execution pool evaluates queries, identical
-//!   in-flight queries coalesce into one evaluation, and a bounded fair
-//!   queue applies admission control (503 + `Retry-After` past the
-//!   knee). Idle keep-alive connections cost no CPU.
-//! * [`IoModel::ThreadPerRequest`] — the PR 5 baseline: an accept loop
-//!   feeding a fixed pool of blocking workers, one connection per
-//!   worker at a time. Kept for the latency-under-load comparison in
-//!   `BENCH_server.json`.
+//! `blossomd`: the concurrent query server. The serving core is the
+//! readiness-driven event loop in [`crate::eventloop`]: a few I/O
+//! threads own all connection state with nonblocking sockets, a
+//! separate execution pool evaluates queries, identical in-flight
+//! queries coalesce into one evaluation, and a bounded fair queue
+//! applies admission control (503 + `Retry-After` past the knee). Idle
+//! keep-alive connections cost no CPU. This module holds the
+//! configuration, the shared state, and the routing/evaluation layer
+//! the execution pool runs.
 //!
 //! Robustness contract (DESIGN.md §10): malformed or oversized requests
 //! get a 4xx and never touch the engine; query parse/eval errors become
@@ -21,73 +17,35 @@
 
 use crate::accesslog::{AccessLog, LogTarget};
 use crate::catalog::Catalog;
-use crate::http::{read_request, render_response, write_response, Next, Request};
+use crate::http::Request;
 use crate::json_str;
-use crate::metrics::{endpoint_index, Metrics, PromGauges};
+use crate::metrics::{Metrics, PromGauges};
 use crate::sched::{Batches, Sched};
-use crate::span::{LogCtx, Outcome, RequestSpan, Stage};
+use crate::span::RequestSpan;
 use blossom_core::engine::{EngineError, EngineOptions, SharedPlanCache};
 use blossom_core::plan::Strategy;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Which serving core runs the socket side.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum IoModel {
-    /// Nonblocking readiness-driven I/O threads + execution pool.
-    #[default]
-    EventLoop,
-    /// Blocking worker pool, one connection per worker (PR 5 baseline).
-    ThreadPerRequest,
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoModel, String> {
-        match s {
-            "event-loop" | "eventloop" => Ok(IoModel::EventLoop),
-            "thread-per-request" | "threaded" => Ok(IoModel::ThreadPerRequest),
-            other => Err(format!(
-                "unknown io model {other:?} (want event-loop or thread-per-request)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for IoModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            IoModel::EventLoop => "event-loop",
-            IoModel::ThreadPerRequest => "thread-per-request",
-        })
-    }
-}
 
 /// Everything configurable about a server instance.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Execution workers (event loop) or connection workers
-    /// (thread-per-request).
+    /// Execution workers.
     pub workers: usize,
-    /// Readiness-driven I/O threads (event loop only).
+    /// Readiness-driven I/O threads.
     pub io_threads: usize,
     /// Per-request evaluation budget; `None` never aborts. Requests may
     /// tighten (never extend) their own with `?deadline_ms=N`.
     pub deadline: Option<Duration>,
     /// Bound on the execution queue; past it `/query` answers 503 with
-    /// `Retry-After` (event loop only).
+    /// `Retry-After`.
     pub max_queue: usize,
-    /// Coalesce identical concurrent queries into one evaluation
-    /// (event loop only).
+    /// Coalesce identical concurrent queries into one evaluation.
     pub batch: bool,
-    /// Which serving core to run.
-    pub io_model: IoModel,
     /// Catalog byte cap (approximate heap bytes across entries).
     pub catalog_bytes: usize,
     /// Persistent store directory: documents are published as BLM2
@@ -117,7 +75,6 @@ impl Default for ServerConfig {
             deadline: Some(Duration::from_secs(10)),
             max_queue: 1024,
             batch: true,
-            io_model: IoModel::EventLoop,
             catalog_bytes: 512 * 1024 * 1024,
             store_dir: None,
             max_body: 256 * 1024 * 1024,
@@ -137,23 +94,23 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     pub(crate) config: ServerConfig,
     pub(crate) started: Instant,
-    /// Bounded fair execution queue (event loop only).
+    /// Bounded fair execution queue.
     pub(crate) sched: Sched,
-    /// In-flight coalesced batches (event loop only).
+    /// In-flight coalesced batches.
     pub(crate) batches: Batches,
     /// Fairness ids for accepted connections.
     pub(crate) next_client: AtomicU64,
     /// The event loop's I/O-thread mailboxes, once running; lets an
     /// external `ServerHandle::shutdown` wake blocked pollers.
     pub(crate) io: OnceLock<Arc<Vec<Arc<crate::eventloop::IoHandle>>>>,
-    /// The structured slow-query/access log (both serving cores).
+    /// The structured slow-query/access log.
     pub(crate) log: AccessLog,
 }
 
 impl Shared {
     /// Retire one finished request span: fold it into every metrics
-    /// surface and hand it to the access-log policy. Every span created
-    /// by either serving core ends here exactly once.
+    /// surface and hand it to the access-log policy. Every span the
+    /// event loop creates ends here exactly once.
     pub(crate) fn finish(&self, span: RequestSpan) {
         let wall_us = span.total_us();
         self.metrics.observe_span(&span);
@@ -237,13 +194,9 @@ impl Server {
         Ok(self.shared.catalog.load_bytes(name, &bytes)?.doc.len())
     }
 
-    /// Serve until shutdown + drain, under the configured I/O model.
+    /// Serve until shutdown + drain.
     pub fn run(self) {
-        let Server { listener, shared } = self;
-        match shared.config.io_model {
-            IoModel::EventLoop => crate::eventloop::run(listener, shared),
-            IoModel::ThreadPerRequest => run_blocking(listener, shared),
-        }
+        crate::eventloop::run(self.listener, self.shared);
     }
 
     /// Run on a background thread; for tests and in-process harnesses.
@@ -252,149 +205,6 @@ impl Server {
         let shared = self.shared.clone();
         let thread = std::thread::spawn(move || self.run());
         ServerHandle { addr, shared, thread }
-    }
-}
-
-/// The thread-per-request core: accept loop feeding a fixed pool of
-/// blocking workers. The listener goes non-blocking so the loop can
-/// poll the shutdown flag; accepted sockets are switched back to
-/// blocking before they reach a worker.
-fn run_blocking(listener: TcpListener, shared: Arc<Shared>) {
-    listener.set_nonblocking(true).expect("set_nonblocking");
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<_> = (0..shared.config.workers.max(1))
-        .map(|_| {
-            let rx = rx.clone();
-            let shared = shared.clone();
-            std::thread::spawn(move || loop {
-                // Holding the lock only for the dequeue keeps the
-                // other workers accepting; `Err` means the sender is
-                // gone and the queue is empty — drain complete.
-                let next = rx.lock().unwrap().recv();
-                match next {
-                    Ok(stream) => handle_connection(stream, &shared),
-                    Err(_) => break,
-                }
-            })
-        })
-        .collect();
-
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                if stream.set_nonblocking(false).is_ok() {
-                    let _ = tx.send(stream);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-    // Dropping the sender ends the workers' recv loops once the
-    // already-queued connections are served.
-    drop(tx);
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
-/// Serve one connection (thread-per-request core): a keep-alive loop of
-/// request → response. The read timeout bounds how long a worker sits
-/// on an idle connection before re-checking the shutdown flag — this is
-/// what lets the drain finish while clients hold keep-alive sockets
-/// open (and why this core burns CPU on idle connections; the event
-/// loop does not).
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader, shared.config.max_body) {
-            Ok(Next::Request(request)) => {
-                let arrived = Instant::now();
-                shared.metrics.requests.fetch_add(1, Ordering::Relaxed);
-                shared.metrics.inflight.fetch_add(1, Ordering::Relaxed);
-                // The blocking reader cannot separate read from parse
-                // (it interleaves them line by line), so this core's
-                // spans start at framing-complete: Read and Parse laps
-                // are 0 and Execute absorbs routing from here.
-                let mut span = RequestSpan::begin(arrived);
-                let deadline = request_deadline(&request, &shared.config, arrived);
-                span.endpoint = endpoint_index(&request.path);
-                span.bytes_in = request.body.len() as u64;
-                span.deadline = deadline;
-                span.budget = deadline.map(|d| d.saturating_duration_since(arrived));
-                span.force_log = request.param("trace") == Some("1");
-                if shared.log.armed() {
-                    span.log = Some(Box::new(LogCtx {
-                        method: request.method.clone(),
-                        path: request.path.clone(),
-                        doc: request
-                            .param("doc")
-                            .or_else(|| request.param("name"))
-                            .map(str::to_string),
-                        query: request.param("q").map(str::to_string),
-                        strategy: None,
-                        trace_json: None,
-                    }));
-                }
-                let (status, content_type, body) =
-                    respond(&request, shared, deadline, &mut span);
-                // During shutdown the drain finishes the current request
-                // but does not linger on an idle keep-alive socket.
-                let close =
-                    !request.keep_alive || shared.shutdown.load(Ordering::SeqCst);
-                if status >= 400 {
-                    shared.metrics.track_error(status);
-                }
-                span.finish_status(status);
-                span.mark(Stage::Execute);
-                let id = span.id.to_string();
-                let bytes = render_response(
-                    status,
-                    content_type,
-                    &body,
-                    close,
-                    &[("X-Request-Id", &id)],
-                );
-                span.bytes_out = bytes.len() as u64;
-                span.mark(Stage::Serialize);
-                let written = writer.write_all(&bytes).is_ok();
-                span.mark(Stage::Write);
-                if !written {
-                    span.outcome = Outcome::Disconnect;
-                }
-                shared.finish(span);
-                if !written || close {
-                    return;
-                }
-            }
-            Ok(Next::Closed) => return,
-            Ok(Next::Idle) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(e) => {
-                // Framing is unreliable after a malformed request, so
-                // answer and close; the *server* keeps running.
-                shared.metrics.track_error(e.status);
-                let body = format!("error: {}\n", e.message);
-                let _ =
-                    write_response(&mut writer, e.status, "text/plain", body.as_bytes(), true);
-                return;
-            }
-        }
     }
 }
 
@@ -421,8 +231,8 @@ pub(crate) fn request_deadline(
 }
 
 /// Route one request; returns `(status, content type, body)`. Pure with
-/// respect to request counters/latency — both serving cores tally those
-/// themselves (the event loop counts at dispatch, before queueing).
+/// respect to request counters/latency — the event loop tallies those
+/// itself, at dispatch, before queueing.
 pub(crate) fn respond(
     request: &Request,
     shared: &Shared,
@@ -524,8 +334,8 @@ fn query(
     }
 }
 
-/// `POST /load?name=NAME` with the document bytes (XML or `.blsm`) as
-/// the body.
+/// `POST /load?name=NAME` with the document bytes (XML or a BLM2
+/// snapshot) as the body.
 fn load(request: &Request, shared: &Shared) -> (u16, &'static str, Vec<u8>) {
     let Some(name) = request.param("name") else {
         return (400, "text/plain", b"error: missing ?name=NAME\n".to_vec());
@@ -606,7 +416,6 @@ fn metrics_text(shared: &Shared) -> String {
     let cache = shared.plans.stats();
     let occ = shared.catalog.occupancy();
     let gauges = PromGauges {
-        io_model: shared.config.io_model.to_string(),
         uptime_seconds: shared.started.elapsed().as_secs_f64(),
         queue_depth: shared.sched.depth() as u64,
         queue_peak: shared.sched.peak() as u64,
@@ -649,7 +458,6 @@ fn stats(shared: &Shared) -> String {
         .join(", ");
     format!(
         "{{{}, \
-         \"io_model\": {}, \
          \"queue\": {{\"depth\": {}, \"peak\": {}, \"capacity\": {}}}, \
          \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"entries\": {}, \"capacity\": {}}}, \
          \"catalog\": {{\"documents\": [{catalog_fields}], \"evictions\": {evictions}, \
@@ -657,7 +465,6 @@ fn stats(shared: &Shared) -> String {
          \"spills\": {}, \"remaps\": {}}}, \
          \"uptime_us\": {}}}\n",
         shared.metrics.render_json_fields(),
-        json_str(&shared.config.io_model.to_string()),
         shared.sched.depth(),
         shared.sched.peak(),
         shared.sched.capacity(),

@@ -84,6 +84,9 @@ mod imp {
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
+            // SAFETY: epoll_create1 takes an integer flag and touches no
+            // caller memory. The fd it returns is new and referenced
+            // nowhere else, so the `Poller` owns it from here on.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
@@ -104,6 +107,13 @@ mod imp {
                 events |= EPOLLOUT;
             }
             let mut ev = EpollEvent { events, data: token };
+            // SAFETY: `ev` is a live, initialized `EpollEvent` on this
+            // stack frame, and its `repr` mirrors the C `struct
+            // epoll_event` (packed on x86-64, as glibc declares it), so
+            // the kernel reads exactly its 12 or 16 bytes and keeps no
+            // pointer past the call. `self.epfd` is the epoll fd this
+            // `Poller` owns; `fd` is only an integer to the kernel, and a
+            // stale one fails with EBADF rather than touching memory.
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
@@ -123,6 +133,8 @@ mod imp {
             // The event argument is ignored for DEL on modern kernels
             // but must be non-null for pre-2.6.9 compatibility.
             let mut ev = EpollEvent { events: 0, data: 0 };
+            // SAFETY: as in `ctl`: `ev` is a valid `EpollEvent` for the
+            // duration of the call and `self.epfd` is owned by `self`.
             let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
             if rc < 0 {
                 return Err(io::Error::last_os_error());
@@ -141,6 +153,12 @@ mod imp {
                 Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
             };
             let n = loop {
+                // SAFETY: `buf` is an initialized array of 256
+                // `EpollEvent`s (C layout, see `ctl`), and `maxevents`
+                // is its length, so the kernel writes at most
+                // `buf.len()` entries through the pointer. It returns
+                // how many it wrote (never more than `maxevents`), which
+                // bounds the `&buf[..n]` below.
                 let n = unsafe { epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, ms) };
                 if n >= 0 {
                     break n as usize;
@@ -165,6 +183,10 @@ mod imp {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: `epfd` came from `epoll_create1` in `new`, is
+            // private to this struct (no accessor, no `Clone`), and is
+            // closed exactly once, here; so no other owner's fd can be
+            // closed by mistake.
             unsafe { close(self.epfd) };
         }
     }
@@ -244,6 +266,11 @@ mod imp {
                 Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
             };
             let n = loop {
+                // SAFETY: `fds` is a live `Vec` of `fds.len()` initialized
+                // `PollFd`s, `repr(C)` like `struct pollfd` (int, short,
+                // short), and `nfds` is that length, so the kernel reads
+                // and writes only those entries. The fds are integers to
+                // the kernel; a stale one is reported as POLLNVAL.
                 let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, ms) };
                 if n >= 0 {
                     break n;
@@ -346,6 +373,11 @@ extern "C" {
 /// platform clock is unavailable).
 pub fn thread_cpu_us() -> u64 {
     let mut ts = Timespec { tv_sec: 0, tv_nsec: 0 };
+    // SAFETY: `ts` is a live, initialized `Timespec` the call may write.
+    // It is `repr(C)` with two 64-bit fields, the layout of C's `struct
+    // timespec` on 64-bit targets; everywhere else the C struct is no
+    // larger, so the write stays inside `ts`. No pointer outlives the
+    // call.
     let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &mut ts) };
     if rc != 0 {
         return 0;

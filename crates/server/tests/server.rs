@@ -44,10 +44,35 @@ fn snapshot_bytes_load_like_xml() {
     let handle = spawn_default();
     let mut client = Client::connect(handle.addr()).unwrap();
     let doc = blossom_xml::Document::parse_str(BIB).unwrap();
-    let snap = blossom_xml::succinct::encode(&doc);
+    let index = blossom_xml::TagIndex::build(&doc);
+    let snap = blossom_storage::snapshot::encode(
+        &doc,
+        &index,
+        &doc.stats(),
+        blossom_storage::EncodeOptions::default(),
+    )
+    .unwrap();
     assert_eq!(client.load("snap", &snap).unwrap().status, 200);
     let response = client.query("snap", "//book/title", &[]).unwrap();
     assert_eq!(response.body_str(), direct_eval(BIB, "//book/title"));
+    handle.shutdown();
+}
+
+/// A document nested deeper than the `u16` level column holds is a
+/// client error with a one-line message, and the server keeps serving.
+#[test]
+fn load_of_a_too_deep_document_is_a_4xx() {
+    let handle = spawn_default();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let deep = format!("{}<b/>{}", "<a>".repeat(65_535), "</a>".repeat(65_535));
+    let response = client.load("deep", deep.as_bytes()).unwrap();
+    assert_eq!(response.status, 400, "{}", response.body_str());
+    let body = response.body_str();
+    assert!(body.contains("deeper than 65535 levels"), "{body}");
+    assert_eq!(body.trim_end().lines().count(), 1, "{body}");
+    assert_eq!(client.query("deep", "//b", &[]).unwrap().status, 404);
+    client.load("bib", BIB.as_bytes()).unwrap();
+    assert_eq!(client.query("bib", "//book/title", &[]).unwrap().status, 200);
     handle.shutdown();
 }
 
@@ -268,7 +293,6 @@ fn stats_reports_queue_batching_io_and_endpoint_fields() {
     assert_eq!(stats.status, 200);
     let body = stats.body_str();
     for key in [
-        "\"io_model\": \"event-loop\"",
         "\"queue\": {\"depth\": ",
         "\"peak\": ",
         "\"capacity\": ",
@@ -529,24 +553,6 @@ fn pipelined_requests_get_ordered_responses() {
     }
     let dribbled = client.recv().unwrap();
     assert_eq!((dribbled.status, dribbled.body_str().as_str()), (200, "ok\n"));
-    handle.shutdown();
-}
-
-#[test]
-fn thread_per_request_model_still_serves_identical_bytes() {
-    let handle = Server::bind(ServerConfig {
-        io_model: blossom_server::IoModel::ThreadPerRequest,
-        ..ServerConfig::default()
-    })
-    .unwrap()
-    .spawn();
-    let mut client = Client::connect(handle.addr()).unwrap();
-    client.load("bib", BIB.as_bytes()).unwrap();
-    let response = client.query("bib", "//book/title", &[]).unwrap();
-    assert_eq!(response.status, 200);
-    assert_eq!(response.body_str(), direct_eval(BIB, "//book/title"));
-    let stats = client.get("/stats").unwrap().body_str();
-    assert!(stats.contains("\"io_model\": \"thread-per-request\""), "{stats}");
     handle.shutdown();
 }
 

@@ -62,7 +62,7 @@ pub enum SectionId {
     Symbols = 9,
     /// Attribute map (varint-framed blob).
     Attrs = 10,
-    /// Document statistics (same serialization as the BLM1 section).
+    /// Document statistics (varint stream, see [`crate::stats`]).
     Stats = 11,
     /// Per-symbol posting counts (varint-framed blob).
     PostDir = 12,

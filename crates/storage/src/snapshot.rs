@@ -24,10 +24,10 @@ use crate::format::{
     align8, fnv64, push_block, push_varint, read_str, read_varint, Section,
     SectionId, DIR_ENTRY_LEN, FLAG_SUCCINCT, HEADER_LEN, MAGIC, MAX_SECTIONS, VERSION,
 };
+use crate::stats::{decode_stats_section, encode_stats_section};
 use blossom_xml::colsrc::{Col, Mapping, TextStore};
 use blossom_xml::fxhash::FxHashMap;
 use blossom_xml::stats::DocStats;
-use blossom_xml::succinct::{decode_stats_section, encode_stats_section};
 use blossom_xml::{ColumnParts, Document, NodeId, PostingList, Sym, SymbolTable, TagIndex};
 use std::path::Path;
 use std::sync::Arc;
@@ -495,7 +495,7 @@ fn open_with(map: Arc<Mapping>, integrity: Integrity) -> Result<Snapshot, Storag
         }
     }
 
-    // Stats (owned; the BLM1 section serialization).
+    // Stats (owned; decoded by `crate::stats`).
     let stats_s = section(&h, SectionId::Stats)?;
     let stats = decode_stats_section(&map.bytes()[stats_s.offset..stats_s.offset + stats_s.len])
         .map_err(|e| StorageError(format!("stats section: {e}")))?;
@@ -680,6 +680,18 @@ mod tests {
         // One open paren per element plus the document node.
         let n_elems = doc.elements().count();
         assert_eq!(bp.num_nodes(), n_elems + 1);
+    }
+
+    /// Kept whitespace-only text survives the snapshot: opening never
+    /// re-applies the parser's whitespace policy.
+    #[test]
+    fn whitespace_text_preserved_exactly() {
+        let options = blossom_xml::ParseOptions { keep_whitespace_text: true };
+        let doc = Document::parse_str_with("<a> <b/> </a>", options).unwrap();
+        let bytes =
+            encode(&doc, &TagIndex::build(&doc), &doc.stats(), EncodeOptions::default()).unwrap();
+        let back = open_bytes(&bytes).unwrap().doc;
+        assert_eq!(blossom_xml::writer::to_string(&back), blossom_xml::writer::to_string(&doc));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use blossom_storage::format::{DIR_ENTRY_LEN, HEADER_LEN};
 use blossom_storage::{load, snapshot, EncodeOptions};
-use blossom_xml::{succinct, writer, TagIndex};
+use blossom_xml::{writer, TagIndex};
 use blossom_xmlgen::{generate, Dataset};
 
 /// SplitMix64 — the same tiny generator the document generator uses, so
@@ -157,35 +157,6 @@ fn structural_only_opens_never_panic_on_corruption() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn blm1_truncation_and_corruption_never_panic() {
-    let doc = generate(Dataset::D2Address, 800, 0xB00);
-    let stats = doc.stats();
-    let bytes = succinct::encode_with_stats(&doc, &stats);
-    let canonical = writer::to_string(&doc);
-    for cut in (0..bytes.len()).step_by(13) {
-        // BLM1 varint streams carry no checksums, so a prefix may decode
-        // as an error or not at all — the property is "no panic", plus
-        // any accepted prefix must still be internally consistent enough
-        // to serialize.
-        if let Ok(loaded) = load::loaded_from_bytes(&bytes[..cut], "trunc.blsm") {
-            let _ = writer::to_string(&loaded.doc);
-        }
-    }
-    let mut rng = Rng(0xB1A5);
-    for _ in 0..300 {
-        let mut corrupt = bytes.clone();
-        let pos = (rng.next() as usize) % corrupt.len();
-        corrupt[pos] ^= 1u8 << (rng.next() % 8);
-        if let Ok(loaded) = load::loaded_from_bytes(&corrupt, "flip.blsm") {
-            let _ = writer::to_string(&loaded.doc);
-        }
-    }
-    // The pristine stream still round-trips.
-    let loaded = load::loaded_from_bytes(&bytes, "ok.blsm").unwrap();
-    assert_eq!(writer::to_string(&loaded.doc), canonical);
 }
 
 #[test]

@@ -28,7 +28,7 @@
 use crate::colsrc::{Col, TextStore};
 use crate::fxhash::FxHashMap;
 use crate::label::Region;
-use crate::parser::{Event, ParseError, Reader};
+use crate::parser::{Event, ParseError, ParseErrorKind, Reader};
 use crate::stats::DocStats;
 use crate::symbol::{Sym, SymbolTable};
 use std::fmt;
@@ -173,6 +173,9 @@ impl Document {
         let mut builder = TreeBuilder::new(options);
         let mut reader = Reader::new(input);
         while let Some(event) = reader.next_event()? {
+            if builder.too_deep(&event) {
+                return Err(ParseError { kind: ParseErrorKind::TooDeep, offset: reader.offset() });
+            }
             builder.event(event);
         }
         Ok(builder.finish())
@@ -705,6 +708,18 @@ impl TreeBuilder {
         id
     }
 
+    /// Would `event` add a node deeper than the `u16` level column holds?
+    /// The open stack holds the document node plus every open element,
+    /// so its length is the level the next node would get.
+    fn too_deep(&self, event: &Event<'_>) -> bool {
+        self.open.len() > u16::MAX as usize
+            && match event {
+                Event::StartElement { .. } => true,
+                Event::Text(t) => self.options.keep_whitespace_text || !t.trim().is_empty(),
+                _ => false,
+            }
+    }
+
     /// Open an element.
     pub fn start_element(&mut self, tag: &str) {
         let sym = self.symbols.intern(tag);
@@ -977,5 +992,32 @@ mod tests {
             let r = doc.region(n);
             assert_eq!((r.start, r.end, r.level), (id, ends[n.index()], levels[n.index()]));
         }
+    }
+
+    /// `depth` nested `<a>` elements around `inner`.
+    fn nested(depth: usize, inner: &str) -> String {
+        format!("{}{inner}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    /// The `level` column is `u16`: the parser accepts nesting up to
+    /// level 65,535 and refuses any node below it, text nodes included,
+    /// with a one-line error instead of a wrapped level.
+    #[test]
+    fn nesting_deeper_than_the_level_column_is_refused() {
+        let doc = Document::parse_str(&nested(65_534, "<b/>")).unwrap();
+        let b = doc.elements().last().unwrap();
+        assert_eq!(doc.tag_name(b), Some("b"));
+        assert_eq!(doc.level(b), u16::MAX);
+        assert_eq!(doc.stats().max_depth, u16::MAX);
+
+        for too_deep in [nested(65_534, "<b>t</b>"), nested(65_535, "<b/>")] {
+            let err = Document::parse_str(&too_deep).unwrap_err();
+            assert_eq!(err.kind, ParseErrorKind::TooDeep);
+            let msg = err.to_string();
+            assert!(msg.contains("nest elements deeper than 65535 levels"), "{msg}");
+            assert!(!msg.contains('\n'), "{msg}");
+        }
+        // Whitespace the parser drops creates no node and is no error.
+        assert!(Document::parse_str(&nested(65_535, " ")).is_ok());
     }
 }

@@ -79,6 +79,8 @@ pub enum ParseErrorKind {
     InvalidCharacter(char),
     /// End tags remained open at end of input.
     UnclosedElements(Vec<String>),
+    /// A node would sit deeper than the `u16` level column can hold.
+    TooDeep,
 }
 
 /// A parse error with the byte offset where it was detected.
@@ -114,6 +116,12 @@ impl fmt::Display for ParseError {
             UnclosedElements(tags) => {
                 write!(f, "unclosed elements at end of input: {}", tags.join(", "))
             }
+            TooDeep => write!(
+                f,
+                "document would nest elements deeper than {} levels at byte {}",
+                u16::MAX,
+                self.offset
+            ),
         }
     }
 }

@@ -18,8 +18,9 @@
 //!   how many `d` regions nest inside each `a` region).
 //!
 //! All of it is computed at load time in two document-order passes and
-//! rides inside the `.blsm` snapshot (see [`crate::succinct`]), so a
-//! server repopulating its catalog from snapshots pays no re-analysis.
+//! rides inside the BLM2 snapshot as its stats section (the
+//! `blossom-storage` crate), so a server repopulating its catalog from
+//! snapshots pays no re-analysis.
 
 use crate::document::{Document, NodeId, NodeKind};
 use crate::fxhash::FxHashMap;

@@ -1,5 +1,6 @@
 //! Tour of the storage and streaming substrates: grammar-driven document
-//! generation, the succinct storage scheme of the NoK paper, and
+//! generation, the BLM2 snapshot with its balanced-parentheses skeleton
+//! (the succinct structure of the NoK paper's storage layer), and
 //! streaming (SAX) NoK evaluation with memory bounded by document depth.
 //!
 //! ```text
@@ -10,7 +11,8 @@ use blossomtree::core::decompose::Decomposition;
 use blossomtree::core::nok::NokMatcher;
 use blossomtree::core::stream::count_anchors_streaming;
 use blossomtree::flwor::BlossomTree;
-use blossomtree::xml::{succinct, writer};
+use blossomtree::storage::{snapshot, EncodeOptions};
+use blossomtree::xml::{writer, TagIndex};
 use blossomtree::xmlgen::Grammar;
 use blossomtree::xpath::parse_path;
 
@@ -35,25 +37,18 @@ fn main() {
         stats.max_depth
     );
 
-    // 2. Store it in the succinct format: skeleton separated from content.
-    let bytes = succinct::encode(&doc);
-    let sizes = succinct::section_sizes(&bytes).expect("well-formed encoding");
+    // 2. Snapshot it as BLM2 with the succinct section: the element
+    //    skeleton as balanced parentheses, beside the arena columns.
+    let index = TagIndex::build(&doc);
+    let bytes = snapshot::encode(&doc, &index, &stats, EncodeOptions { succinct: true })
+        .expect("encodable document");
     let xml = writer::to_string(&doc);
-    println!(
-        "\nsuccinct encoding: {} bytes total vs {} bytes of XML text",
-        bytes.len(),
-        xml.len()
-    );
-    println!(
-        "  skeleton {:>7} bytes  (2 bits per structural event)\n  tags     {:>7} bytes\n  symbols  {:>7} bytes\n  content  {:>7} bytes",
-        sizes.skeleton, sizes.tags, sizes.symbols, sizes.content
-    );
-    println!(
-        "  a structure-only scan reads {:.1}% of the data",
-        100.0 * sizes.structure() as f64 / bytes.len() as f64
-    );
-    let decoded = succinct::decode(&bytes).expect("round-trips");
-    assert_eq!(writer::to_string(&decoded), xml);
+    println!("\nBLM2 snapshot: {} bytes total vs {} bytes of XML text", bytes.len(), xml.len());
+    for (name, size) in snapshot::section_sizes(&bytes).expect("well-formed snapshot") {
+        println!("  {name:<14} {size:>8} bytes");
+    }
+    let opened = snapshot::open_bytes(&bytes).expect("round-trips");
+    assert_eq!(writer::to_string(&opened.doc), xml);
     println!("  round-trip: exact");
 
     // 3. Evaluate a NoK pattern in streaming mode — no tree in memory.

@@ -95,8 +95,8 @@ echo "== server smoke (blossomd: load, concurrent queries, open-loop, drain) =="
 # sweep the Table-3 query matrix closed-loop with every response
 # byte-compared against direct in-process evaluation, then the
 # open-loop generator drives 256 keep-alive connections on a fixed
-# arrival schedule at three offered rates against both serving models
-# (event-loop vs thread-per-request). Writes BENCH_server.json.
+# arrival schedule at three offered rates against a fresh event-loop
+# server per rate. Writes BENCH_server.json.
 cargo run --release -q -p blossom-bench --bin serve_load -- \
     --connections 4 --rounds 2 --nodes 4000 \
     --open-connections 256 --rates 500,2000,8000 --open-seconds 1 \
@@ -106,10 +106,6 @@ for key in closed_loop throughput_rps p50 p95 p99 response_mismatches \
            latency_from_arrival_us service_us; do
     grep -q "\"${key}\"" BENCH_server.json \
         || { echo "BENCH_server.json missing key: ${key}"; exit 1; }
-done
-for model in event-loop thread-per-request; do
-    grep -q "\"io_model\": \"${model}\"" BENCH_server.json \
-        || { echo "BENCH_server.json missing open-loop model: ${model}"; exit 1; }
 done
 
 # The same harness against a real `blossom serve` process: ephemeral

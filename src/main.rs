@@ -1,17 +1,16 @@
 //! `blossom` — a command-line front end for the BlossomTree engine.
 //!
 //! ```text
-//! blossom query   <doc.xml|doc.blsm> '<query>' [--strategy auto|navigational|twigstack|pathstack|pipelined|bnlj|nlj]
+//! blossom query   <doc.xml|doc.blm2> '<query>' [--strategy auto|navigational|twigstack|pathstack|pipelined|bnlj|nlj]
 //!                 [--pretty] [--profile] [--profile-json FILE] [--repeat N]
-//! blossom explain <doc.xml|doc.blsm> '<query>'
-//! blossom stats   <doc.xml|doc.blsm>
-//! blossom encode  <doc.xml> <out.blsm>     # succinct storage format
-//! blossom snapshot <doc.xml|doc.blsm|doc.blm2> --output <file> [--format blm2|blm1|xml]
+//! blossom explain <doc.xml|doc.blm2> '<query>'
+//! blossom stats   <doc.xml|doc.blm2>
+//! blossom snapshot <doc.xml|doc.blm2> --output <file> [--format blm2|xml]
 //!                 [--succinct] [--stats]    # columnar storage format
-//! blossom update  <doc.xml|doc.blsm> [--apply 'MUTATION']... [--ops FILE] [--output OUT]
+//! blossom update  <doc.xml|doc.blm2> [--apply 'MUTATION']... [--ops FILE] [--output OUT]
 //! blossom gen     <d1|d2|d3|d4|d5> <out.xml> [--nodes N] [--seed S]
 //! blossom serve   [--addr HOST:PORT] [--workers N] [--deadline-ms N]
-//!                 [--catalog-mb N] [--store-dir DIR] [--io-model M] [--io-threads N]
+//!                 [--catalog-mb N] [--store-dir DIR] [--io-threads N]
 //!                 [--max-queue N] [--batch on|off] [--slow-ms N] [--access-log TARGET]
 //!                 [--log-sample N] [--load NAME=PATH]...
 //! ```
@@ -25,20 +24,20 @@
 //! `--format blm2` writes the BLM2 columnar snapshot — an aligned,
 //! checksummed image of the arena columns and tag index that the engine
 //! can `mmap` and query with no per-node decoding (see `DESIGN.md` §15);
-//! `--format blm1` writes the compact varint format, `--format xml`
-//! writes the document back out as XML. `--succinct` embeds the optional
-//! balanced-parentheses skeleton in a BLM2 snapshot, and `--stats`
-//! prints per-section byte sizes after writing. Every command that reads
-//! a document (`query`, `explain`, `stats`, `update`, …) accepts all
-//! three formats by sniffing; BLM2 inputs are mapped, not decoded.
+//! `--format xml` writes the document back out as XML. `--succinct`
+//! embeds the optional balanced-parentheses skeleton in a BLM2 snapshot,
+//! and `--stats` prints per-section byte sizes after writing. Every
+//! command that reads a document (`query`, `explain`, `stats`, `update`,
+//! …) accepts XML or BLM2 by sniffing; BLM2 inputs are mapped, not
+//! decoded.
 //!
 //! `update` applies a mutation script — `insert <parent-dewey> <pos>
 //! <fragment>`, `delete <dewey>`, `replace <dewey> <fragment>` lines —
 //! to a document: each `--apply` flag adds one mutation, `--ops FILE`
 //! reads a script file (applied before any `--apply` lines), and
-//! `--output OUT` writes the mutated document to a file (`.blsm` writes
-//! the succinct format) instead of printing XML to stdout. The same
-//! script syntax drives the server's `POST /update`.
+//! `--output OUT` writes the mutated document to a file as XML instead
+//! of printing it to stdout. The same script syntax drives the server's
+//! `POST /update`.
 //!
 //! `serve` starts `blossomd`, the concurrent query server (see
 //! `DESIGN.md` §10 and §12): `--addr` binds the listener (port 0 picks
@@ -46,19 +45,17 @@
 //! execution pool (each query runs on one thread),
 //! `--deadline-ms` bounds each request's evaluation wall-clock (0
 //! disables), `--catalog-mb` caps the document catalog's memory, and
-//! each `--load NAME=PATH` preloads an XML, `.blsm`, or `.blm2` file
+//! each `--load NAME=PATH` preloads an XML or `.blm2` file
 //! into the catalog under NAME. `--store-dir DIR` makes the catalog
 //! persistent: every document is published to DIR as a crash-safe BLM2
 //! generation file and served `mmap`'d from it (so its resident charge
 //! is a small constant), evicted entries spill to disk and remap on the
 //! next request, and a restarted server recovers every complete
-//! generation from DIR before accepting connections. The serving model is `--io-model`: the default
-//! `event-loop` parks idle connections in a poller driven by
-//! `--io-threads` I/O threads, admits at most `--max-queue` queued
-//! requests (the rest get 503 + Retry-After), and coalesces identical
-//! concurrent queries into one evaluation unless `--batch off`;
-//! `thread-per-request` is the PR 5 blocking model, kept for
-//! comparison benchmarks.
+//! generation from DIR before accepting connections. The event loop
+//! parks idle connections in a poller driven by `--io-threads` I/O
+//! threads, admits at most `--max-queue` queued requests (the rest get
+//! 503 + Retry-After), and coalesces identical concurrent queries into
+//! one evaluation unless `--batch off`.
 //!
 //! Server observability (DESIGN.md §14): every request gets a traced
 //! lifecycle span, echoed to clients as `X-Request-Id` and exposed as
@@ -70,9 +67,9 @@
 
 use blossomtree::core::engine::SharedPlanCache;
 use blossomtree::core::{Engine, EngineOptions, Strategy};
-use blossomtree::server::{IoModel, Server, ServerConfig};
+use blossomtree::server::{Server, ServerConfig};
 use blossomtree::storage::{self, EncodeOptions, OpenMode};
-use blossomtree::xml::{mutate, succinct, writer, Document};
+use blossomtree::xml::{mutate, writer, Document};
 use blossomtree::xmlgen::{generate, Dataset};
 use std::path::Path;
 use std::process::ExitCode;
@@ -94,17 +91,16 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  blossom query   <doc.xml|doc.blsm> '<query>' [--strategy S] [--pretty]
+  blossom query   <doc.xml|doc.blm2> '<query>' [--strategy S] [--pretty]
                   [--profile] [--profile-json FILE] [--repeat N]
-  blossom explain <doc.xml|doc.blsm> '<query>'
-  blossom stats   <doc.xml|doc.blsm>
-  blossom encode  <doc.xml> <out.blsm>
-  blossom snapshot <doc.xml|doc.blsm|doc.blm2> --output FILE [--format blm2|blm1|xml]
+  blossom explain <doc.xml|doc.blm2> '<query>'
+  blossom stats   <doc.xml|doc.blm2>
+  blossom snapshot <doc.xml|doc.blm2> --output FILE [--format blm2|xml]
                   [--succinct] [--stats]
-  blossom update  <doc.xml|doc.blsm> [--apply 'MUTATION']... [--ops FILE] [--output OUT]
+  blossom update  <doc.xml|doc.blm2> [--apply 'MUTATION']... [--ops FILE] [--output OUT]
   blossom gen     <d1|d2|d3|d4|d5> <out.xml> [--nodes N] [--seed S]
   blossom serve   [--addr HOST:PORT] [--workers N] [--deadline-ms N]
-                  [--catalog-mb N] [--store-dir DIR] [--io-model M] [--io-threads N]
+                  [--catalog-mb N] [--store-dir DIR] [--io-threads N]
                   [--max-queue N] [--batch on|off] [--slow-ms N] [--access-log TARGET]
                   [--log-sample N] [--load NAME=PATH]...
 
@@ -113,21 +109,20 @@ strategies: auto (default), navigational, twigstack, pathstack, pipelined, bnlj,
                 operator counters, phase timings) to stderr
 --profile-json: write the trace as JSON to FILE
 --repeat:       evaluate the query N times and report plan-cache stats
---format:       snapshot: output format — blm2 (default, columnar/mappable),
-                blm1 (compact varint), or xml
+--format:       snapshot: output format — blm2 (default, columnar/mappable)
+                or xml
 --succinct:     snapshot: embed the balanced-parentheses skeleton (blm2 only)
 --stats:        snapshot: print per-section byte sizes after writing
 --apply:        update: one mutation line (insert/delete/replace; repeatable)
 --ops:          update: read a mutation script from FILE
---output:       update: write the mutated document to OUT (.blsm = succinct)
-                instead of printing XML to stdout
+--output:       update: write the mutated document as XML to OUT instead
+                of printing it to stdout
 --addr:         serve: bind address (default 127.0.0.1:7730; port 0 = ephemeral)
 --workers:      serve: execution worker threads (default 4)
 --deadline-ms:  serve: per-request evaluation budget (default 10000; 0 = none)
 --catalog-mb:   serve: document catalog memory cap (default 512)
 --store-dir:    serve: persistent BLM2 store directory — documents are
                 served mmap'd, spill on eviction, survive restarts
---io-model:     serve: event-loop (default) or thread-per-request
 --io-threads:   serve: event-loop I/O threads (default 2)
 --max-queue:    serve: admission bound on queued requests (default 1024;
                 beyond it requests get 503 + Retry-After)
@@ -209,8 +204,8 @@ fn run(args: &[String]) -> Result<String, String> {
         }
         "stats" => {
             let file = arg(args, 1)?;
-            // Both snapshot formats carry embedded statistics; XML
-            // computes them here.
+            // A BLM2 snapshot carries embedded statistics; XML computes
+            // them here.
             let s = storage::load::loaded_from_path(Path::new(file), OpenMode::Map)?.stats;
             Ok(format!(
                 "nodes:         {}\nelements:      {}\ntext nodes:    {}\n\
@@ -225,22 +220,6 @@ fn run(args: &[String]) -> Result<String, String> {
                 s.recursive,
                 s.max_recursion,
                 s.text_bytes,
-            ))
-        }
-        "encode" => {
-            let input = arg(args, 1)?;
-            let output = arg(args, 2)?;
-            let doc = load_document(input)?;
-            let bytes = succinct::encode(&doc);
-            let sizes = succinct::section_sizes(&bytes).map_err(|e| e.to_string())?;
-            std::fs::write(output, &bytes).map_err(|e| format!("writing {output}: {e}"))?;
-            Ok(format!(
-                "wrote {} bytes (skeleton {} + tags {} + symbols {} + content {})",
-                bytes.len(),
-                sizes.skeleton,
-                sizes.tags,
-                sizes.symbols,
-                sizes.content
             ))
         }
         "snapshot" => {
@@ -264,10 +243,9 @@ fn run(args: &[String]) -> Result<String, String> {
                     EncodeOptions { succinct: succinct_nav },
                 )
                 .map_err(|e| e.to_string())?,
-                "blm1" => succinct::encode_with_stats(&loaded.doc, &loaded.stats),
                 "xml" => writer::to_string(&loaded.doc).into_bytes(),
                 other => {
-                    return Err(format!("bad --format {other:?} (want blm2, blm1, or xml)"))
+                    return Err(format!("bad --format {other:?} (want blm2 or xml)"))
                 }
             };
             std::fs::write(output, &bytes).map_err(|e| format!("writing {output}: {e}"))?;
@@ -310,12 +288,7 @@ fn run(args: &[String]) -> Result<String, String> {
             match flag_value(args, "--output") {
                 None => Ok(writer::to_string(&updated)),
                 Some(output) => {
-                    let bytes = if output.ends_with(".blsm") {
-                        succinct::encode(&updated)
-                    } else {
-                        writer::to_string(&updated).into_bytes()
-                    };
-                    std::fs::write(output, &bytes)
+                    std::fs::write(output, writer::to_string(&updated))
                         .map_err(|e| format!("writing {output}: {e}"))?;
                     Ok(format!(
                         "applied {} mutation(s): {} -> {} nodes, wrote {output}",
@@ -393,12 +366,6 @@ fn parse_serve_config(args: &[String]) -> Result<ServerConfig, String> {
             _ => return Err(format!("bad --catalog-mb {v:?} (want an integer >= 1)")),
         },
     };
-    let io_model = match flag_value(args, "--io-model") {
-        None => defaults.io_model,
-        Some(v) => v
-            .parse::<IoModel>()
-            .map_err(|_| format!("bad --io-model {v:?} (want event-loop or thread-per-request)"))?,
-    };
     let io_threads = match flag_value(args, "--io-threads") {
         None => defaults.io_threads,
         Some(v) => match v.parse::<usize>() {
@@ -445,7 +412,6 @@ fn parse_serve_config(args: &[String]) -> Result<ServerConfig, String> {
         workers,
         deadline,
         catalog_bytes,
-        io_model,
         io_threads,
         max_queue,
         batch,
@@ -511,7 +477,7 @@ fn parse_strategy(name: &str) -> Result<Strategy, String> {
     name.parse()
 }
 
-/// Load any supported on-disk format (XML, BLM1, BLM2 — by sniffing)
+/// Load either on-disk format (XML or BLM2, by sniffing)
 /// and build an engine around it. BLM2 snapshots are memory-mapped and
 /// come with a decoded tag index and statistics, so cold start skips
 /// both parsing and index construction.
@@ -527,7 +493,7 @@ fn load_engine(path: &str, options: EngineOptions) -> Result<Engine, String> {
     ))
 }
 
-/// Load any supported on-disk format when only the document is needed.
+/// Load either on-disk format when only the document is needed.
 fn load_document(path: &str) -> Result<Document, String> {
     Ok(storage::load::loaded_from_path(Path::new(path), OpenMode::Map)?.doc)
 }
@@ -556,7 +522,7 @@ mod tests {
 
     #[test]
     fn end_to_end_workflow() {
-        // gen -> stats -> query -> explain -> encode -> query the binary.
+        // gen -> stats -> query -> explain -> snapshot -> query the snapshot.
         let xml = tmp("d2.xml");
         let out = run(&s(&["gen", "d2", &xml, "--nodes", "2000", "--seed", "7"])).unwrap();
         assert!(out.contains("generated d2"));
@@ -571,13 +537,13 @@ mod tests {
         let plan = run(&s(&["explain", &xml, "//address//zip_code"])).unwrap();
         assert!(plan.contains("pipelined"), "{plan}");
 
-        let blsm = tmp("d2.blsm");
-        let enc = run(&s(&["encode", &xml, &blsm])).unwrap();
-        assert!(enc.contains("skeleton"));
+        let blm2 = tmp("d2.blm2");
+        let enc = run(&s(&["snapshot", &xml, "--output", &blm2])).unwrap();
+        assert!(enc.contains("format blm2"), "{enc}");
 
-        // Querying the succinct binary gives the same answer as the XML.
+        // Querying the snapshot gives the same answer as the XML.
         let from_xml = run(&s(&["query", &xml, "//address[//zip_code]"])).unwrap();
-        let from_bin = run(&s(&["query", &blsm, "//address[//zip_code]"])).unwrap();
+        let from_bin = run(&s(&["query", &blm2, "//address[//zip_code]"])).unwrap();
         assert_eq!(from_xml, from_bin);
     }
 
@@ -598,12 +564,9 @@ mod tests {
         assert_eq!(run(&s(&["query", &blm2, "//item[//bold]"])).unwrap(), want);
         assert!(run(&s(&["stats", &blm2])).unwrap().contains("nodes:"));
 
-        // BLM2 -> BLM1 and BLM2 -> XML keep the answers identical too.
-        let blm1 = tmp("snap.blsm");
-        run(&s(&["snapshot", &blm2, "--output", &blm1, "--format", "blm1"])).unwrap();
-        assert_eq!(run(&s(&["query", &blm1, "//item[//bold]"])).unwrap(), want);
+        // BLM2 -> XML keeps the answers identical too.
         let back = tmp("snap-back.xml");
-        run(&s(&["snapshot", &blm1, "--output", &back, "--format", "xml"])).unwrap();
+        run(&s(&["snapshot", &blm2, "--output", &back, "--format", "xml"])).unwrap();
         assert_eq!(run(&s(&["query", &back, "//item[//bold]"])).unwrap(), want);
     }
 
@@ -613,7 +576,7 @@ mod tests {
         std::fs::write(&xml, "<r><a/></r>").unwrap();
         let cases: &[&[&str]] = &[
             &["snapshot", &xml],                                        // no --output
-            &["snapshot", &xml, "--output", "/x", "--format", "tar"],   // bad format
+            &["snapshot", &xml, "--output", "/x", "--format", "blm1"],  // bad format
             &["snapshot", &xml, "--output", "/x", "--format", "xml", "--succinct"],
             &["snapshot", "/nonexistent.xml", "--output", "/x"],        // bad input
         ];
@@ -652,12 +615,6 @@ mod tests {
         assert!(summary.contains("applied 2 mutation(s)"), "{summary}");
         let titles = run(&s(&["query", &mutated, "//title"])).unwrap();
         assert_eq!(titles, "<result><title>first</title></result>");
-
-        // A .blsm output round-trips through the succinct decoder.
-        let blsm = tmp("upd-out.blsm");
-        run(&s(&["update", &xml, "--apply", "delete 1.1", "--output", &blsm])).unwrap();
-        let empty = run(&s(&["query", &blsm, "//title"])).unwrap();
-        assert_eq!(empty, "<result/>");
     }
 
     #[test]
@@ -834,9 +791,9 @@ mod tests {
         assert!(err.contains("unparsable.xml"), "{err}");
         assert!(!err.contains('\n'), "multi-line: {err}");
 
-        // A corrupt .blsm snapshot: decode error, still one line.
-        let corrupt = tmp("corrupt.blsm");
-        std::fs::write(&corrupt, b"BLM1this is not a snapshot").unwrap();
+        // A corrupt BLM2 snapshot: decode error, still one line.
+        let corrupt = tmp("corrupt.blm2");
+        std::fs::write(&corrupt, b"BLM2this is not a snapshot").unwrap();
         let err = run(&s(&["query", &corrupt, "//a"])).unwrap_err();
         assert!(!err.contains('\n'), "multi-line: {err}");
 
@@ -873,20 +830,16 @@ mod tests {
 
         // Event-loop serving knobs.
         let config = parse_serve_config(&s(&[
-            "serve", "--io-model", "thread-per-request", "--io-threads", "4",
-            "--max-queue", "16", "--batch", "off",
+            "serve", "--io-threads", "4", "--max-queue", "16", "--batch", "off",
         ]))
         .unwrap();
-        assert_eq!(config.io_model, IoModel::ThreadPerRequest);
         assert_eq!(config.io_threads, 4);
         assert_eq!(config.max_queue, 16);
         assert!(!config.batch);
         let defaults = parse_serve_config(&s(&["serve"])).unwrap();
-        assert_eq!(defaults.io_model, IoModel::EventLoop);
         assert_eq!(defaults.io_threads, 2);
         assert_eq!(defaults.max_queue, 1024);
         assert!(defaults.batch);
-        assert!(parse_serve_config(&s(&["serve", "--io-model", "coroutines"])).is_err());
         assert!(parse_serve_config(&s(&["serve", "--io-threads", "0"])).is_err());
         assert!(parse_serve_config(&s(&["serve", "--max-queue", "0"])).is_err());
         assert!(parse_serve_config(&s(&["serve", "--batch", "maybe"])).is_err());
@@ -917,9 +870,9 @@ mod tests {
         assert!(parse_serve_config(&s(&["serve", "--slow-ms", "fast"])).is_err());
         assert!(parse_serve_config(&s(&["serve", "--log-sample", "-1"])).is_err());
 
-        let loads = s(&["serve", "--load", "a=/tmp/a.xml", "--load", "b=/tmp/b.blsm"]);
+        let loads = s(&["serve", "--load", "a=/tmp/a.xml", "--load", "b=/tmp/b.blm2"]);
         let pairs = flag_pairs(&loads, "--load").unwrap();
-        assert_eq!(pairs, vec![("a", "/tmp/a.xml"), ("b", "/tmp/b.blsm")]);
+        assert_eq!(pairs, vec![("a", "/tmp/a.xml"), ("b", "/tmp/b.blm2")]);
         assert!(flag_pairs(&s(&["serve", "--load", "nopath"]), "--load").is_err());
         assert!(flag_pairs(&s(&["serve", "--load"]), "--load").is_err());
     }
